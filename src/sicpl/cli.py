@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -75,6 +76,13 @@ def _laser(args) -> LaserConfig:
     if args.laser_nm is not None:
         return LaserConfig.from_wavelength(args.laser_nm, args.phi, _medium(args), mode)
     raise CatalogError("specify the laser with --laser-nm or --laser-mev")
+
+
+def _arange(start: float, stop: float, step: float) -> np.ndarray:
+    """Points from start to stop inclusive (within half a step), step apart."""
+    if not (math.isfinite(step) and step > 0):
+        raise SpectrumError(f"--step must be finite and positive, got {step:g}")
+    return np.arange(start, stop + step / 2.0, step)
 
 
 def _add_laser_flags(parser: argparse.ArgumentParser) -> None:
@@ -158,7 +166,7 @@ def cmd_spectrum(args) -> int:
     lines = _catalog_slice(args)
     hits = excited_lines(lines, laser, args.basal_b, args.zpl_fwhm)
     shape = LineShapeParams(zpl_fwhm_mev=args.zpl_fwhm, debye_waller=args.dw)
-    grid = np.arange(args.emin, args.emax + args.step / 2.0, args.step)
+    grid = _arange(args.emin, args.emax, args.step)
     metadata = {
         "laser_mev": f"{laser.photon_energy_mev:.4f}",
         "phi_deg": laser.polarizer_angle_deg,
@@ -180,7 +188,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_angular_scan(args) -> int:
     model = AngularModel(args.amplitude, args.modulation)
-    phis = np.arange(args.start, args.stop + args.step / 2.0, args.step)
+    phis = _arange(args.start, args.stop, args.step)
     samples = angular_scan(model, phis, args.noise, args.seed)
     metadata = {
         "amplitude": args.amplitude,

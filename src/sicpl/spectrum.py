@@ -32,6 +32,10 @@ class DegenerateFitError(SpectrumError):
     pass
 
 
+# exact cosines at the reduced angles 2*phi mod 360 that float radians would miss
+_EXACT_COS2PHI = {0.0: 1.0, 90.0: 0.0, 180.0: -1.0, 270.0: 0.0}
+
+
 def cos2phi(phi_deg: float) -> float:
     """cos(2*phi) with exact values at multiples of 45 degrees.
 
@@ -39,10 +43,18 @@ def cos2phi(phi_deg: float) -> float:
     float radians would only approximate.
     """
     angle = (2.0 * phi_deg) % 360.0
-    table = {0.0: 1.0, 90.0: 0.0, 180.0: -1.0, 270.0: 0.0}
-    if angle in table:
-        return table[angle]
+    if angle in _EXACT_COS2PHI:
+        return _EXACT_COS2PHI[angle]
     return math.cos(math.radians(angle))
+
+
+def cos2phi_array(phi_deg: np.ndarray) -> np.ndarray:
+    """Element-wise :func:`cos2phi`, with the same reduction and exact values."""
+    angle = np.remainder(2.0 * np.asarray(phi_deg, dtype=float), 360.0)
+    values = np.cos(np.radians(angle))
+    for exact_angle, value in _EXACT_COS2PHI.items():
+        values[angle == exact_angle] = value
+    return values
 
 
 class LaserMode(enum.Enum):
@@ -90,7 +102,7 @@ class AngularModel:
         return self.amplitude * (1.0 + self.modulation * cos2phi(phi_deg))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AngularSample:
     phi_deg: float
     intensity: float
@@ -110,8 +122,15 @@ class LineShapeParams:
     def __post_init__(self):
         if not 0.0 < self.debye_waller <= 1.0:
             raise SpectrumError("Debye-Waller fraction must lie in (0, 1]")
-        if self.zpl_fwhm_mev <= 0:
-            raise SpectrumError("ZPL fwhm must be positive")
+        if not (math.isfinite(self.zpl_fwhm_mev) and self.zpl_fwhm_mev > 0):
+            raise SpectrumError("ZPL fwhm must be finite and positive")
+        for offset, fwhm, weight in self.sideband:
+            if not math.isfinite(offset):
+                raise SpectrumError(f"sideband offset {offset} must be finite")
+            if not (math.isfinite(fwhm) and fwhm > 0):
+                raise SpectrumError(f"sideband fwhm {fwhm} must be finite and positive")
+            if not (math.isfinite(weight) and weight >= 0):
+                raise SpectrumError(f"sideband weight {weight} must be finite and non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,10 +181,39 @@ def excited_lines(
     )
 
 
-def _gaussian(grid: np.ndarray, center: float, fwhm: float, area: float) -> np.ndarray:
-    sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+# Each Gaussian is evaluated only within TRUNCATION_SIGMAS standard
+# deviations of its centre: the smallest whole number for which the
+# dropped tail, exp(-K**2 / 2) of the peak, lies below 2**-53 of it.
+TRUNCATION_SIGMAS = 9.0
+_FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+
+
+def _gaussian(
+    x: np.ndarray, center: float, sigma: float, area: float, out: np.ndarray
+) -> np.ndarray:
+    """Normalized Gaussian of the given area on ``x``, computed in place in ``out``."""
     amp = area / (sigma * math.sqrt(2.0 * math.pi))
-    return amp * np.exp(-0.5 * ((grid - center) / sigma) ** 2)
+    np.subtract(x, center, out=out)
+    out /= sigma
+    np.square(out, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= amp
+    return out
+
+
+def _line_components(
+    line: ZplLine, eff: float, shape: LineShapeParams
+) -> list[tuple[float, float, float]]:
+    """(centre, sigma, area) of the ZPL and each sideband Gaussian of one line."""
+    dw = shape.debye_waller
+    components = [(line.energy_mev, shape.zpl_fwhm_mev / _FWHM_PER_SIGMA, eff * dw)]
+    total_weight = sum(w for _, _, w in shape.sideband)
+    if total_weight > 0 and dw < 1.0:
+        for offset, fwhm, weight in shape.sideband:
+            area = eff * (1.0 - dw) * weight / total_weight
+            components.append((line.energy_mev - offset, fwhm / _FWHM_PER_SIGMA, area))
+    return components
 
 
 def synthesize_spectrum(
@@ -179,30 +227,54 @@ def synthesize_spectrum(
     Sideband weights are normalized so the ZPL carries the configured
     Debye-Waller fraction of each line's band; the band integral of each
     line equals its excitation efficiency.
+
+    Each Gaussian is evaluated only on the grid points within
+    K = TRUNCATION_SIGMAS = 9 standard deviations of its centre and is
+    zero elsewhere.  The value dropped at any grid point is therefore at
+    most amp * exp(-K**2 / 2) < 2.6e-18 * amp per component, where amp
+    is that component's peak height: below 2**-53 * amp, half an ulp of
+    the peak.  Inside its window a component takes the same value as
+    the untruncated formula.
+
+    Each line's band is accumulated on its own and then added to the
+    total, so synthesis is bit-exactly linear in the line set: the
+    spectrum of a union of lines equals the sum of their separate
+    spectra.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+    if grid.ndim != 1 or grid.size < 2:
         raise SpectrumError("energy grid must be a strictly ascending 1-d array")
-    warnings = []
+    steps = np.diff(grid)
+    if not (steps > 0).all():
+        raise SpectrumError("energy grid must be a strictly ascending 1-d array")
+    spacing = float(steps.max())
+    del steps  # a grid-sized array: free it before the bands are built
+
     intensity = np.zeros_like(grid)
+    # reused by every line, and indexed like the grid
+    band_buffer, scratch = np.empty_like(grid), np.empty_like(grid)
+    warnings = []
     for line, eff in excited:
         shape = shapes[line.label] if isinstance(shapes, dict) else shapes
-        spacing = float(np.max(np.diff(grid)))
         if spacing > shape.zpl_fwhm_mev / 4.0:
             warnings.append(
                 f"grid spacing {spacing:g} meV too coarse for {line.label} "
                 f"fwhm {shape.zpl_fwhm_mev:g} meV"
             )
-        dw = shape.debye_waller
-        # accumulate the full band per line, then add: keeps synthesis
-        # bit-exactly linear in the line set
-        band = _gaussian(grid, line.energy_mev, shape.zpl_fwhm_mev, eff * dw)
-        total_weight = sum(w for _, _, w in shape.sideband)
-        if total_weight > 0 and dw < 1.0:
-            for offset, fwhm, weight in shape.sideband:
-                area = eff * (1.0 - dw) * weight / total_weight
-                band += _gaussian(grid, line.energy_mev - offset, fwhm, area)
-        intensity += band
+        components = _line_components(line, eff, shape)
+        centers = np.array([center for center, _, _ in components])
+        half_widths = TRUNCATION_SIGMAS * np.array([sigma for _, sigma, _ in components])
+        starts = np.searchsorted(grid, centers - half_widths, side="left")
+        stops = np.searchsorted(grid, centers + half_widths, side="right")
+        # accumulate the full band per line over the union of its windows,
+        # then add: keeps synthesis bit-exactly linear in the line set
+        lo, hi = starts.min(), stops.max()
+        band_buffer[lo:hi] = 0.0
+        for (center, sigma, area), start, stop in zip(components, starts, stops):
+            band_buffer[start:stop] += _gaussian(
+                grid[start:stop], center, sigma, area, scratch[start:stop]
+            )
+        intensity[lo:hi] += band_buffer[lo:hi]
     return Spectrum(grid, intensity, dict(metadata or {}), tuple(warnings))
 
 
@@ -238,15 +310,16 @@ def angular_scan(
     noise_sigma: float = 0.0,
     seed: int | None = None,
 ) -> list[AngularSample]:
-    """Evaluate the cosine model, optionally with seeded Gaussian noise."""
-    rng = np.random.default_rng(seed)
-    samples = []
-    for phi in phi_values:
-        value = model.intensity(float(phi))
-        if noise_sigma > 0.0:
-            value += float(rng.normal(0.0, noise_sigma))
-        samples.append(AngularSample(float(phi), value))
-    return samples
+    """Evaluate the cosine model, optionally with seeded Gaussian noise.
+
+    The noise is drawn in one call, which yields the same values as one
+    draw per sample in angle order.
+    """
+    phis = np.asarray(phi_values, dtype=float)
+    values = model.amplitude * (1.0 + model.modulation * cos2phi_array(phis))
+    if noise_sigma > 0.0:
+        values += np.random.default_rng(seed).normal(0.0, noise_sigma, size=phis.size)
+    return list(map(AngularSample, phis.tolist(), values.tolist()))
 
 
 def fit_angular(samples: list[AngularSample]) -> tuple[AngularModel, float]:
@@ -257,11 +330,14 @@ def fit_angular(samples: list[AngularSample]) -> tuple[AngularModel, float]:
     """
     if len(samples) < 3:
         raise DegenerateFitError("need at least 3 samples")
-    cos_vals = np.array([cos2phi(s.phi_deg) for s in samples])
-    if np.unique(np.round(cos_vals, 12)).size < 2:
+    phis = np.fromiter((s.phi_deg for s in samples), float, len(samples))
+    intensities = np.fromiter((s.intensity for s in samples), float, len(samples))
+    if not (np.isfinite(phis).all() and np.isfinite(intensities).all()):
+        raise DegenerateFitError("samples contain a non-finite angle or intensity")
+    cos_vals = cos2phi_array(phis)
+    if np.ptp(np.round(cos_vals, 12)) == 0.0:
         raise DegenerateFitError("all samples share the same cos 2 phi; cannot fit")
     design = np.column_stack([np.ones_like(cos_vals), cos_vals])
-    intensities = np.array([s.intensity for s in samples])
     coeffs, _, _, _ = np.linalg.lstsq(design, intensities, rcond=None)
     a, ab = float(coeffs[0]), float(coeffs[1])
     if a <= 0:

@@ -136,3 +136,35 @@ def reduction_multiplicity(
     for n, c, k in zip(class_sizes, rep_chars, irrep_chars):
         acc += n * c * np.conj(k)
     return acc / order
+
+
+def band_spectrum(
+    grid, lines, zpl_fwhm: float, sideband, debye_waller: float
+) -> tuple[np.ndarray, float]:
+    """Untruncated ZPL-plus-sideband spectrum, point by point.
+
+    ``lines`` holds (energy, efficiency) pairs.  Every Gaussian is
+    evaluated at every grid point with ``math.exp``.  Returns the
+    intensities and the sum of the peak heights of all components, the
+    scale for rounding and truncation tolerances.
+    """
+    components = []
+    total_weight = sum(w for _, _, w in sideband)
+    for energy, eff in lines:
+        components.append((energy, zpl_fwhm, eff * debye_waller))
+        if total_weight > 0 and debye_waller < 1.0:
+            for offset, fwhm, weight in sideband:
+                area = eff * (1.0 - debye_waller) * weight / total_weight
+                components.append((energy - offset, fwhm, area))
+    values, peaks = [], 0.0
+    for _, fwhm, area in components:
+        sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        peaks += abs(area) / (sigma * math.sqrt(2.0 * math.pi))
+    for x in grid:
+        total = 0.0
+        for center, fwhm, area in components:
+            sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+            amp = area / (sigma * math.sqrt(2.0 * math.pi))
+            total += amp * math.exp(-0.5 * ((x - center) / sigma) ** 2)
+        values.append(total)
+    return np.array(values), peaks

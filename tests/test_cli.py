@@ -199,6 +199,14 @@ class TestAngularWorkflow:
         assert code == 1
         assert "cos 2 phi" in err
 
+    def test_non_finite_data_fails(self, capsys, tmp_path):
+        bad = tmp_path / "nan.tsv"
+        bad.write_text("0.0\t2.0\n45.0\tnan\n90.0\t0.0\n135.0\t1.0\n")
+        code, out, err = run(capsys, "fit-angle", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "non-finite" in err
+
     def test_malformed_row_reports_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("0.0\t1.0\nnonsense\n")
@@ -242,6 +250,29 @@ class TestCatalogCommand:
         assert code == 0
         cat = load_catalog(out_file)
         assert [li.label for li in cat.lines] == ["PL1", "PL2", "PL3", "PL4"]
+
+
+class TestStepValidation:
+    @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])
+    def test_spectrum_bad_step(self, capsys, tmp_path, step):
+        code, _, err = run(
+            capsys, "spectrum", "4H", "VV", "--laser-nm", "930",
+            "--emin", "1080", "--emax", "1160", f"--step={step}",
+            "--out", str(tmp_path / "s.tsv"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "--step" in err
+        assert not (tmp_path / "s.tsv").exists()
+
+    @pytest.mark.parametrize("step", ["0", "-15", "nan", "inf"])
+    def test_angular_scan_bad_step(self, capsys, tmp_path, step):
+        code, _, err = run(
+            capsys, "angular-scan", "-A", "1", "-B", "0.5", f"--step={step}",
+            "--out", str(tmp_path / "scan.tsv"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "--step" in err
+        assert not (tmp_path / "scan.tsv").exists()
 
 
 class TestExitCodes:

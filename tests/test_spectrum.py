@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,9 +16,11 @@ from sicpl.spectrum import (
     LineShapeParams,
     ScanPlane,
     SpectrumError,
+    TRUNCATION_SIGMAS,
     angular_scan,
     classify_geometry,
     cos2phi,
+    cos2phi_array,
     debye_waller,
     ensemble_average,
     excitation_efficiency,
@@ -25,6 +28,7 @@ from sicpl.spectrum import (
     fit_angular,
     synthesize_spectrum,
 )
+from oracles import band_spectrum
 
 CAT = builtin_catalog()
 VV4H = CAT.lines_for(Polytype.FOUR_H, Defect.DIVACANCY)
@@ -43,6 +47,19 @@ class TestCos2Phi:
 
     def test_generic_angle(self):
         assert cos2phi(30.0) == pytest.approx(0.5)
+
+    @staticmethod
+    def assert_array_matches_scalar(phis):
+        want = np.array([cos2phi(phi) for phi in phis])
+        assert cos2phi_array(np.array(phis)).tobytes() == want.tobytes()
+
+    def test_array_exact_at_multiples_of_45(self):
+        self.assert_array_matches_scalar([45.0 * k for k in range(-16, 17)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
+    def test_array_matches_scalar(self, phis):
+        self.assert_array_matches_scalar(phis)
 
 
 class TestExcitationEfficiency:
@@ -151,6 +168,41 @@ class TestSynthesizeSpectrum:
         )
         assert spec.warnings and "too coarse" in spec.warnings[0]
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(st.floats(900.0, 1250.0), st.floats(0.0, 1.0)), max_size=4
+        ),
+        zpl_fwhm=st.floats(0.05, 5.0),
+        sideband=st.lists(
+            st.tuples(st.floats(-20.0, 150.0), st.floats(0.5, 40.0), st.floats(0.0, 1.0)),
+            max_size=3,
+        ),
+        dw=st.floats(0.01, 1.0),
+        start=st.floats(950.0, 1200.0),
+        steps=st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=150),
+    )
+    def test_windowed_matches_untruncated_oracle(
+        self, lines, zpl_fwhm, sideband, dw, start, steps
+    ):
+        # random grids are often narrower than one sideband window, and
+        # many lines lie off the grid altogether
+        pl1 = CAT.lookup(Polytype.FOUR_H, Defect.DIVACANCY, "PL1")
+        excited = [
+            (dataclasses.replace(pl1, label=f"L{k}", energy_mev=energy), eff)
+            for k, (energy, eff) in enumerate(lines)
+        ]
+        grid = start + np.cumsum([0.0] + steps)
+        shape = LineShapeParams(zpl_fwhm, tuple(sideband), dw)
+        spec = synthesize_spectrum(excited, shape, grid)
+        want, peaks = band_spectrum(grid, lines, zpl_fwhm, sideband, dw)
+        tail = math.exp(-(TRUNCATION_SIGMAS ** 2) / 2.0)
+        tolerance = (tail + 64 * np.finfo(float).eps) * peaks
+        assert np.all(np.abs(spec.intensity - want) <= tolerance)
+
+    def test_truncation_bound_below_half_ulp_of_peak(self):
+        assert math.exp(-(TRUNCATION_SIGMAS ** 2) / 2.0) < 2.0 ** -53
+
     def test_bad_grid(self):
         pl1 = CAT.lookup(Polytype.FOUR_H, Defect.DIVACANCY, "PL1")
         with pytest.raises(SpectrumError):
@@ -159,6 +211,35 @@ class TestSynthesizeSpectrum:
             synthesize_spectrum(
                 [(pl1, 1.0)], LineShapeParams(), np.array([2.0, 1.0, 3.0])
             )
+
+
+class TestLineShapeParams:
+    @pytest.mark.parametrize(
+        "sideband",
+        [
+            ((40.0, 0.0, 0.6),),
+            ((40.0, -20.0, 0.6),),
+            ((40.0, math.nan, 0.6),),
+            ((40.0, math.inf, 0.6),),
+            ((40.0, 20.0, -0.1),),
+            ((40.0, 20.0, math.nan),),
+            ((40.0, 20.0, math.inf),),
+            ((math.nan, 20.0, 0.6),),
+            ((math.inf, 20.0, 0.6),),
+        ],
+    )
+    def test_bad_sideband_rejected(self, sideband):
+        with pytest.raises(SpectrumError):
+            LineShapeParams(sideband=sideband)
+
+    @pytest.mark.parametrize("zpl_fwhm", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_zpl_fwhm_rejected(self, zpl_fwhm):
+        with pytest.raises(SpectrumError):
+            LineShapeParams(zpl_fwhm_mev=zpl_fwhm)
+
+    def test_zero_weight_sideband_accepted(self):
+        shape = LineShapeParams(sideband=((40.0, 20.0, 0.0), (90.0, 30.0, 1.0)))
+        assert shape.sideband[0][2] == 0.0
 
 
 class TestDebyeWaller:
@@ -246,6 +327,28 @@ class TestAngularScanAndFit:
         c = angular_scan(model, phis, noise_sigma=0.01, seed=8)
         assert [s.intensity for s in a] == [s.intensity for s in b]
         assert [s.intensity for s in a] != [s.intensity for s in c]
+
+    def test_seeded_scan_matches_scalar_loop(self):
+        # the per-sample loop of scalar cos2phi and one noise draw per
+        # sample: seeded scan files stay byte-identical to its output
+        model = AngularModel(1.7, 0.43)
+        phis = np.linspace(0.0, 180.0, 1000, endpoint=False)
+        rng = np.random.default_rng(7)
+        want = [
+            model.intensity(phi) + float(rng.normal(0.0, 0.02)) for phi in phis.tolist()
+        ]
+        samples = angular_scan(model, phis, noise_sigma=0.02, seed=7)
+        assert [s.phi_deg for s in samples] == phis.tolist()
+        assert np.array([s.intensity for s in samples]).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "bad", [AngularSample(math.nan, 1.0), AngularSample(60.0, math.inf),
+                AngularSample(60.0, math.nan)]
+    )
+    def test_non_finite_sample_rejected(self, bad):
+        samples = [AngularSample(phi, 1.0) for phi in (0.0, 30.0, 90.0)] + [bad]
+        with pytest.raises(DegenerateFitError):
+            fit_angular(samples)
 
     def test_rank_deficient(self):
         samples = [AngularSample(0.0, 2.0)] * 5
