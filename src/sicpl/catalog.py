@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+
+from .records import RecordReader
 
 HC_EV_NM = 1239.84198  # h*c in eV*nm
 HC_MEV_NM = HC_EV_NM * 1000.0
@@ -32,8 +35,10 @@ class Medium:
     refractive_index: float
 
     def __post_init__(self):
-        if self.refractive_index < 1.0:
-            raise CatalogError("refractive index must be >= 1")
+        if not (math.isfinite(self.refractive_index) and self.refractive_index >= 1.0):
+            raise CatalogError(
+                f"refractive index must be finite and >= 1, got {self.refractive_index}"
+            )
 
     @classmethod
     def vacuum(cls) -> "Medium":
@@ -44,15 +49,18 @@ class Medium:
         return cls(refractive_index)
 
 
+def _require_positive(value: float, what: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise CatalogError(f"{what} must be finite and positive, got {value}")
+
+
 def nm_to_mev(wavelength_nm: float, medium: Medium = Medium.vacuum()) -> float:
-    if wavelength_nm <= 0:
-        raise CatalogError("wavelength must be positive")
+    _require_positive(wavelength_nm, "wavelength")
     return HC_MEV_NM / (medium.refractive_index * wavelength_nm)
 
 
 def mev_to_nm(energy_mev: float, medium: Medium = Medium.vacuum()) -> float:
-    if energy_mev <= 0:
-        raise CatalogError("energy must be positive")
+    _require_positive(energy_mev, "energy")
     return HC_MEV_NM / (medium.refractive_index * energy_mev)
 
 
@@ -101,6 +109,10 @@ class ZplLine:
     geometry: Geometry
     sites: tuple[str, str]
     provenance: str = ""
+
+    def __post_init__(self):
+        _require_positive(self.wavelength_nm, "wavelength")
+        _require_positive(self.energy_mev, "energy")
 
     @property
     def is_axial(self) -> bool:
@@ -153,35 +165,35 @@ class Catalog:
         ]
 
 
-def _parse_record(tokens: list[str], lineno: int) -> ZplLine:
-    try:
-        label, poly, defect, lam, emev, geom, sites = tokens[:7]
-        provenance = tokens[7] if len(tokens) > 7 else ""
-        return ZplLine(
-            label=label,
-            polytype=Polytype(poly),
-            defect=Defect(defect),
-            wavelength_nm=float(lam),
-            energy_mev=float(emev),
-            geometry=Geometry(geom),
-            sites=parse_sites(sites),
-            provenance=provenance,
-        )
-    except (ValueError, IndexError) as exc:
-        raise CatalogError(f"catalog line {lineno}: {exc}") from exc
+def _parse_record(tokens: list[str]) -> ZplLine:
+    if not 7 <= len(tokens) <= 8:
+        raise ValueError(f"expected 7 or 8 fields, got {len(tokens)}")
+    label, poly, defect, lam, emev, geom, sites = tokens[:7]
+    return ZplLine(
+        label=label,
+        polytype=Polytype(poly),
+        defect=Defect(defect),
+        wavelength_nm=float(lam),
+        energy_mev=float(emev),
+        geometry=Geometry(geom),
+        sites=parse_sites(sites),
+        provenance=tokens[7] if len(tokens) == 8 else "",
+    )
 
 
 def parse_catalog(text: str) -> Catalog:
+    """Parse catalog records; a bad record or duplicate label is a located CatalogError."""
     lines = []
     seen: set[tuple[Polytype, Defect, str]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        line = _parse_record(stripped.split(), lineno)
+    reader = RecordReader(text, "catalog")
+    for lineno, tokens in reader:
+        try:
+            line = _parse_record(tokens)
+        except (ValueError, CatalogError) as exc:
+            raise CatalogError(reader.locate(lineno, exc)) from exc
         key = (line.polytype, line.defect, line.label)
         if key in seen:
-            raise CatalogError(f"duplicate label {line.label!r} (line {lineno})")
+            raise CatalogError(reader.locate(lineno, f"duplicate label {line.label!r}"))
         seen.add(key)
         lines.append(line)
     return Catalog(tuple(lines))

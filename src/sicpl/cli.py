@@ -28,10 +28,9 @@ from .catalog import (
     Polytype,
     builtin_catalog,
     format_catalog,
-    nm_to_mev,
 )
 from .fileio import read_angular_samples, read_spectrum, write_angular_samples, write_spectrum
-from .groups import GroupError, builtin_group, contains_trivial, decompose, tensor_product
+from .groups import GroupError, builtin_group, decompose, tensor_product
 from .selection import DefectClass, Policy, selection_table
 from .spectrum import (
     AngularModel,
@@ -82,6 +81,8 @@ def _arange(start: float, stop: float, step: float) -> np.ndarray:
     """Points from start to stop inclusive (within half a step), step apart."""
     if not (math.isfinite(step) and step > 0):
         raise SpectrumError(f"--step must be finite and positive, got {step:g}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise SpectrumError(f"range ends must be finite, got {start:g} and {stop:g}")
     return np.arange(start, stop + step / 2.0, step)
 
 

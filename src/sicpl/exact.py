@@ -44,10 +44,6 @@ class GaussianRational:
     def is_real(self) -> bool:
         return self.im == 0
 
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 

@@ -2,54 +2,70 @@
 
 Two-column delimited files with a ``#`` comment header carrying full
 provenance (laser settings, angle, policy, seed, defaults), so every
-emitted artifact is reproducible from its own header.
+emitted artifact is reproducible from its own header.  The record syntax
+is that of :mod:`sicpl.records`; every row holds exactly two finite
+numbers.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
+from .records import RecordReader, header_lines
 from .spectrum import AngularSample, Spectrum, SpectrumError
 
 
-def _header_lines(metadata: dict) -> list[str]:
-    return [f"# {key} = {value}" for key, value in metadata.items()]
-
-
 def write_spectrum(path: str | Path, spectrum: Spectrum) -> None:
-    lines = _header_lines(spectrum.metadata)
-    for warning in spectrum.warnings:
-        lines.append(f"# warning: {warning}")
+    lines = header_lines(spectrum.metadata, spectrum.warnings)
     lines.append("# columns: energy_meV intensity")
     for e, i in zip(spectrum.energy_mev, spectrum.intensity):
         lines.append(f"{e:.6f}\t{i:.9g}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _reader(path: str | Path) -> RecordReader:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise SpectrumError(f"{path}: not a text file: {exc}") from exc
+    return RecordReader(text, str(path))
+
+
+def _columns(reader: RecordReader) -> tuple[list[float], list[float]]:
+    """The two columns of a file whose every row holds exactly two finite floats.
+
+    Raises SpectrumError, located at the first row that does not.
+    """
+    isfinite = math.isfinite
+    xs: list[float] = []
+    ys: list[float] = []
+    for lineno, tokens in reader:
+        try:
+            x, y = tokens
+            x, y = float(x), float(y)
+        except ValueError as exc:
+            why = exc if len(tokens) == 2 else f"expected 2 columns, got {len(tokens)}"
+            raise SpectrumError(reader.locate(lineno, why)) from exc
+        if not (isfinite(x) and isfinite(y)):
+            raise SpectrumError(reader.locate(lineno, f"non-finite value in '{x} {y}'"))
+        xs.append(x)
+        ys.append(y)
+    return xs, ys
+
+
 def read_spectrum(path: str | Path) -> Spectrum:
-    energies, intensities, metadata = [], [], {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                metadata[key.strip()] = value.strip()
-            continue
-        e, i = line.split()
-        energies.append(float(e))
-        intensities.append(float(i))
-    return Spectrum(np.array(energies), np.array(intensities), metadata)
+    reader = _reader(path)
+    energy, intensity = _columns(reader)
+    return Spectrum(np.array(energy), np.array(intensity), reader.header, tuple(reader.warnings))
 
 
 def write_angular_samples(
     path: str | Path, samples: list[AngularSample], metadata: dict | None = None
 ) -> None:
-    lines = _header_lines(metadata or {})
+    lines = header_lines(metadata or {})
     lines.append("# columns: phi_deg intensity")
     for s in samples:
         lines.append(f"{s.phi_deg:.4f}\t{s.intensity:.9g}")
@@ -57,17 +73,5 @@ def write_angular_samples(
 
 
 def read_angular_samples(path: str | Path) -> list[AngularSample]:
-    samples = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) < 2:
-            raise SpectrumError(f"{path}: line {lineno}: expected 'phi intensity'")
-        try:
-            phi, intensity = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise SpectrumError(f"{path}: line {lineno}: {exc}") from exc
-        samples.append(AngularSample(phi, intensity))
-    return samples
+    phis, intensities = _columns(_reader(path))
+    return list(map(AngularSample, phis, intensities))

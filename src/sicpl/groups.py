@@ -15,6 +15,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .exact import GaussianRational, ONE, ZERO, parse_scalar, rational
+from .records import RecordReader
 
 BUILTIN_GROUPS = ("C3v", "C1h", "C3v_double")
 
@@ -106,15 +107,8 @@ class RepVector:
                 f"group {self.group.name} has {self.group.n_classes} classes"
             )
 
-    @property
-    def dim_character(self) -> GaussianRational:
-        return self.characters[0]
-
     def conjugate(self) -> "RepVector":
         return RepVector(self.group, tuple(c.conjugate() for c in self.characters))
-
-    def __mul__(self, other: "RepVector") -> "RepVector":
-        return tensor_product(self, other)
 
 
 @dataclass(frozen=True)
@@ -155,46 +149,56 @@ def _parse_table_text(text: str) -> PointGroupTable:
     order = None
     class_labels: list[str] = []
     class_sizes: list[int] = []
-    irreps: list[Irrep] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    irreps: list[tuple[int, Irrep]] = []  # (line number, irrep)
+    reader = RecordReader(text, "table")
+    for lineno, tokens in reader:
         key = tokens[0]
         try:
             if key == "group":
                 name = tokens[1]
             elif key == "order":
-                order = int(tokens[1])
+                order = _positive_int(tokens[1], "order")
             elif key == "class":
                 class_labels.append(tokens[1])
-                class_sizes.append(int(tokens[2]))
+                class_sizes.append(_positive_int(tokens[2], "class size"))
             elif key == "irrep":
-                label, dim, kind = tokens[1], int(tokens[2]), tokens[3]
+                label, dim, kind = tokens[1], _positive_int(tokens[2], "dimension"), tokens[3]
                 chars = tuple(parse_scalar(t) for t in tokens[4:])
-                irreps.append(Irrep(label, dim, kind, chars))
+                irreps.append((lineno, Irrep(label, dim, kind, chars)))
             else:
-                raise TableFormatError(f"line {lineno}: unknown keyword {key!r}")
-        except (IndexError, ValueError) as exc:
-            raise TableFormatError(f"line {lineno}: {exc}") from exc
+                raise ValueError(f"unknown keyword {key!r}")
+        except IndexError as exc:
+            raise TableFormatError(reader.locate(lineno, f"too few fields for {key!r}")) from exc
+        except (ValueError, ZeroDivisionError) as exc:
+            raise TableFormatError(reader.locate(lineno, exc)) from exc
     if name is None or order is None or not class_labels or not irreps:
-        raise TableFormatError("incomplete table: need group, order, classes, irreps")
-    for ir in irreps:
+        raise TableFormatError("table: incomplete table: need group, order, classes, irreps")
+    for lineno, ir in irreps:
         if len(ir.characters) != len(class_labels):
-            raise TableFormatError(
+            raise TableFormatError(reader.locate(
+                lineno,
                 f"irrep {ir.label}: {len(ir.characters)} characters for "
-                f"{len(class_labels)} classes"
-            )
-    return PointGroupTable(name, order, tuple(class_labels), tuple(class_sizes), tuple(irreps))
+                f"{len(class_labels)} classes",
+            ))
+    return PointGroupTable(
+        name, order, tuple(class_labels), tuple(class_sizes), tuple(ir for _, ir in irreps)
+    )
+
+
+def _positive_int(token: str, what: str) -> int:
+    value = int(token)
+    if value < 1:
+        raise ValueError(f"{what} must be at least 1, got {value}")
+    return value
 
 
 def load_table(text: str) -> PointGroupTable:
     """Parse a character-table document and validate it.
 
-    Raises InvalidRepresentationError-free TableFormatError on syntax
-    problems and GroupError if any verification check fails; downstream
-    code never sees an unvalidated table.
+    The document uses the record syntax of :mod:`sicpl.records`.  Raises
+    TableFormatError, located as ``table: line N:``, on syntax problems
+    and GroupError if any verification check fails; downstream code
+    never sees an unvalidated table.
     """
     table = _parse_table_text(text)
     failures = [c for c in verify_table(table) if not c.passed]
@@ -283,16 +287,14 @@ def verify_table(table: PointGroupTable) -> list[Check]:
             acc = ZERO
             for ir in table.irreps:
                 acc = acc + ir.characters[c1] * ir.characters[c2].conjugate()
-            expected = (
-                GaussianRational(Fraction(table.order, table.class_sizes[c1]))
-                if c1 == c2
-                else ZERO
-            )
-            if acc != expected:
+            # n_c * sum = |G| on the diagonal: no division, so a class of size 0 fails
+            n_c = table.class_sizes[c1]
+            expected = g if c1 == c2 else ZERO
+            if acc.scale(Fraction(n_c)) != expected:
                 col_ok = False
                 col_detail = (
                     f"columns {table.class_labels[c1]},{table.class_labels[c2]}: "
-                    f"{acc}, expected {expected}"
+                    f"{n_c} x {acc}, expected {expected}"
                 )
     checks.append(Check("column-orthogonality", col_ok, col_detail))
 

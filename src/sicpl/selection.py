@@ -20,7 +20,6 @@ from .groups import (
     RepVector,
     builtin_group,
     contains_trivial,
-    decompose,
     tensor_product,
 )
 
@@ -53,10 +52,6 @@ class Polarization:
     @classmethod
     def in_plane(cls, azimuth_deg: float) -> "Polarization":
         return cls(PolarizationKind.IN_PLANE_ANGLE, azimuth_deg)
-
-    @property
-    def is_parallel(self) -> bool:
-        return self.kind is PolarizationKind.PARALLEL_C
 
 
 class DisplacementAxis(enum.Enum):
@@ -321,7 +316,3 @@ def selection_table(
             verdicts.append(phonon_assisted_verdict(q, policy))
         rows.append((row_label, tuple(verdicts)))
     return SelectionTable(defect_class, policy, tuple(rows))
-
-
-def decompose_str(rep: RepVector) -> str:
-    return decompose(rep).direct_sum_str()

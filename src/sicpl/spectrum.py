@@ -69,8 +69,10 @@ class LaserConfig:
     mode: LaserMode = LaserMode.NON_RESONANT
 
     def __post_init__(self):
-        if self.photon_energy_mev <= 0:
-            raise SpectrumError("photon energy must be positive")
+        if not (math.isfinite(self.photon_energy_mev) and self.photon_energy_mev > 0):
+            raise SpectrumError(
+                f"photon energy must be finite and positive, got {self.photon_energy_mev}"
+            )
         if not 0.0 <= self.polarizer_angle_deg < 180.0:
             raise SpectrumError("polarizer angle must lie in [0, 180)")
 
@@ -93,10 +95,10 @@ class AngularModel:
     modulation: float
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise SpectrumError("amplitude must be non-negative")
-        if abs(self.modulation) > 1.0:
-            raise SpectrumError("modulation must lie in [-1, 1]")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise SpectrumError(f"amplitude must be finite and non-negative, got {self.amplitude}")
+        if not abs(self.modulation) <= 1.0:
+            raise SpectrumError(f"modulation must lie in [-1, 1], got {self.modulation}")
 
     def intensity(self, phi_deg: float) -> float:
         return self.amplitude * (1.0 + self.modulation * cos2phi(phi_deg))
@@ -106,7 +108,6 @@ class AngularModel:
 class AngularSample:
     phi_deg: float
     intensity: float
-    uncertainty: float | None = None
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,12 @@ def excitation_efficiency(
     Non-resonant excitation requires the laser strictly above the ZPL
     (absorption goes into the sideband); resonant excitation requires a
     hit within half a linewidth.  Axial lines have modulation 1 and
-    vanish exactly at phi = 90.
+    vanish exactly at phi = 90; the basal modulation must lie in [0, 1].
     """
+    if not 0.0 <= basal_modulation <= 1.0:
+        raise SpectrumError(f"basal modulation must lie in [0, 1], got {basal_modulation}")
+    if not (math.isfinite(zpl_fwhm_mev) and zpl_fwhm_mev > 0):
+        raise SpectrumError(f"ZPL fwhm must be finite and positive, got {zpl_fwhm_mev}")
     if laser.mode is LaserMode.NON_RESONANT:
         if laser.photon_energy_mev <= line.energy_mev:
             return 0.0
@@ -218,7 +223,7 @@ def _line_components(
 
 def synthesize_spectrum(
     excited: list[tuple[ZplLine, float]],
-    shapes: LineShapeParams | dict[str, LineShapeParams],
+    shapes: LineShapeParams,
     grid: np.ndarray,
     metadata: dict | None = None,
 ) -> Spectrum:
@@ -255,13 +260,12 @@ def synthesize_spectrum(
     band_buffer, scratch = np.empty_like(grid), np.empty_like(grid)
     warnings = []
     for line, eff in excited:
-        shape = shapes[line.label] if isinstance(shapes, dict) else shapes
-        if spacing > shape.zpl_fwhm_mev / 4.0:
+        if spacing > shapes.zpl_fwhm_mev / 4.0:
             warnings.append(
                 f"grid spacing {spacing:g} meV too coarse for {line.label} "
-                f"fwhm {shape.zpl_fwhm_mev:g} meV"
+                f"fwhm {shapes.zpl_fwhm_mev:g} meV"
             )
-        components = _line_components(line, eff, shape)
+        components = _line_components(line, eff, shapes)
         centers = np.array([center for center, _, _ in components])
         half_widths = TRUNCATION_SIGMAS * np.array([sigma for _, sigma, _ in components])
         starts = np.searchsorted(grid, centers - half_widths, side="left")
@@ -315,6 +319,10 @@ def angular_scan(
     The noise is drawn in one call, which yields the same values as one
     draw per sample in angle order.
     """
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise SpectrumError(f"noise sigma must be finite and non-negative, got {noise_sigma}")
+    if seed is not None and seed < 0:
+        raise SpectrumError(f"seed must be non-negative, got {seed}")
     phis = np.asarray(phi_values, dtype=float)
     values = model.amplitude * (1.0 + model.modulation * cos2phi_array(phis))
     if noise_sigma > 0.0:
@@ -359,22 +367,25 @@ def classify_geometry(
     model: AngularModel,
     scan_plane: ScanPlane = ScanPlane.TOWARD_C,
     axial_threshold: float = DEFAULT_AXIAL_B_THRESHOLD,
-    vanish_ratio: float = DEFAULT_VANISH_RATIO,
 ) -> Geometry:
     """Call an emitter axial or basal from its fitted angular response.
 
     Rotating toward c, an axial emitter modulates fully (B near 1).
     Rotating in the basal plane on a single emitter, only a basal
     emitter can go dark at some angle; an axial one keeps a nonzero
-    floor however strong its modulation.
+    floor however strong its modulation.  An in-plane response whose
+    floor is at most DEFAULT_VANISH_RATIO of its peak is called basal.
+    The axial threshold must lie in [0, 1].
     """
+    if not 0.0 <= axial_threshold <= 1.0:
+        raise SpectrumError(f"axial threshold must lie in [0, 1], got {axial_threshold}")
     if scan_plane is ScanPlane.TOWARD_C:
         return Geometry.AXIAL if model.modulation >= axial_threshold else Geometry.BASAL
     peak = model.amplitude * (1.0 + abs(model.modulation))
     floor = model.amplitude * (1.0 - abs(model.modulation))
     if peak <= 0:
         return Geometry.BASAL
-    return Geometry.BASAL if floor / peak <= vanish_ratio else Geometry.AXIAL
+    return Geometry.BASAL if floor / peak <= DEFAULT_VANISH_RATIO else Geometry.AXIAL
 
 
 def ensemble_average(single: AngularModel, n_orientations: int = 3) -> AngularModel:

@@ -198,5 +198,28 @@ class TestCatalogFiles:
         with pytest.raises(CatalogError, match="line 2"):
             parse_catalog("PL1 4H VV 1132.0 1095.0 axial hh a\nPL2 4H VV oops\n")
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "PL2 4H VV nan 1096.5 axial kk a",
+            "PL2 4H VV 1130.5 inf axial kk a",
+            "PL2 4H VV -1130.5 1096.5 axial kk a",
+            "PL2 4H VV 1130.5 0 axial kk a",
+            "PL2 4H VV 1130.5 1096.5 axial kxk a",
+            "PL2 4H VV 1130.5 1096.5 axial kk a extra",
+        ],
+    )
+    def test_bad_record_is_located(self, record):
+        with pytest.raises(CatalogError, match="catalog: line 3: "):
+            parse_catalog(f"PL1 4H VV 1132.0 1095.0 axial hh a\n# comment\n{record}\n")
+
+    def test_inline_comment_and_duplicate_located(self):
+        text = (
+            "PL1 4H VV 1132.0 1095.0 axial hh  # no provenance\n"
+            "PL1 4H VV 1130.5 1096.5 axial kk a\n"
+        )
+        with pytest.raises(CatalogError, match="catalog: line 2: duplicate label 'PL1'"):
+            parse_catalog(text)
+
     def test_default_air_index_documented_value(self):
         assert DEFAULT_AIR_INDEX == pytest.approx(1.000276, abs=1e-6)

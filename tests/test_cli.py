@@ -275,6 +275,56 @@ class TestStepValidation:
         assert not (tmp_path / "scan.tsv").exists()
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["excite", "4H", "VV", "--laser-mev", "nan"],
+            ["excite", "4H", "VV", "--laser-mev", "inf"],
+            ["excite", "4H", "VV", "--laser-nm", "nan"],
+            ["excite", "4H", "VV", "--laser-nm", "930", "--air-index", "nan"],
+            ["excite", "4H", "VV", "--laser-mev", "1119.1", "--resonant", "--zpl-fwhm", "nan"],
+            ["excite", "4H", "VV", "--laser-nm", "930", "--basal-b", "1.5"],
+            ["excite", "4H", "VV", "--laser-nm", "930", "--basal-b", "-0.2"],
+            ["catalog", "--verify-units", "--air-index", "nan"],
+            ["spectrum", "4H", "VV", "--laser-nm", "930", "--emin", "1080", "--emax", "inf",
+             "--out", "{out}"],
+            ["angular-scan", "-A", "nan", "-B", "0.5", "--out", "{out}"],
+            ["angular-scan", "-A", "1", "-B", "nan", "--out", "{out}"],
+            ["angular-scan", "-A", "1", "-B", "0.5", "--noise", "nan", "--out", "{out}"],
+            ["angular-scan", "-A", "1", "-B", "0.5", "--noise", "-1", "--out", "{out}"],
+            ["angular-scan", "-A", "1", "-B", "0.5", "--noise", "0.1", "--seed", "-1",
+             "--out", "{out}"],
+            ["angular-scan", "-A", "1", "-B", "0.5", "--start", "nan", "--out", "{out}"],
+            ["fit-angle", "{scan}", "--axial-threshold", "nan"],
+        ],
+    )
+    def test_non_finite_or_out_of_range_exits_1(self, capsys, tmp_path, argv):
+        scan, out = tmp_path / "scan.tsv", tmp_path / "out.tsv"
+        scan.write_text("0\t2\n45\t1\n90\t0\n135\t1\n")
+        code, stdout, err = run(capsys, *[a.format(scan=scan, out=out) for a in argv])
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, rows",
+        [
+            (["debye-waller", "{file}", "--zpl-window", "1", "2", "--band-window", "0", "3"],
+             "0 1\n1 1 1\n"),
+            (["fit-angle", "{file}"], "# seed = 1\n0 1\n45 1 # ok\n90\n"),
+        ],
+    )
+    def test_malformed_file_error_names_file_and_line(self, capsys, tmp_path, command, rows):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(rows)
+        lineno = len(rows.splitlines())
+        code, _, err = run(capsys, *[a.format(file=bad) for a in command])
+        assert code == 1
+        assert err.startswith(f"error: {bad}: line {lineno}: expected 2 columns")
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as excinfo:

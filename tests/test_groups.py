@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from sicpl.groups import (
     InvalidRepresentationError,
     PointGroupTable,
     RepVector,
+    TableFormatError,
     UnknownGroupError,
     builtin_group,
     contains_trivial,
@@ -309,3 +311,30 @@ class TestTableFormat:
     def test_syntax_error_reports_line(self):
         with pytest.raises(GroupError):
             load_table("group X\norder 2\nclass E 1\nirrep A 1 single one\n")
+
+    C3V_LINES = [
+        "group C3v", "order 6", "class E 1", "class 2C3 2", "class 3sv 3",
+        "irrep A1 1 single 1 1 1", "irrep A2 1 single 1 1 -1", "irrep E 2 single 2 -1 0",
+    ]
+
+    @pytest.mark.parametrize(
+        "lineno, bad",
+        [
+            (2, "order 0"),
+            (4, "class 2C3 0"),
+            (8, "irrep E 0 single 2 -1 0"),
+            (8, "irrep E 2 single 2 1/0 0"),
+            (8, "irrep E 2 single 2 -1"),
+            (4, "class 2C3"),
+        ],
+    )
+    def test_bad_field_is_table_format_error_at_its_line(self, lineno, bad):
+        lines = list(self.C3V_LINES)
+        lines[lineno - 1] = bad
+        with pytest.raises(TableFormatError, match=f"table: line {lineno}: "):
+            load_table("\n".join(lines))
+
+    def test_zero_class_size_fails_verification_without_raising(self):
+        broken = dataclasses.replace(builtin_group("C3v"), class_sizes=(1, 0, 3))
+        failed = {c.name for c in verify_table(broken) if not c.passed}
+        assert {"class-size-sum", "column-orthogonality"} <= failed
