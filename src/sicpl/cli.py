@@ -30,7 +30,7 @@ from .catalog import (
     format_catalog,
 )
 from .fileio import read_angular_samples, read_spectrum, write_angular_samples, write_spectrum
-from .groups import GroupError, builtin_group, decompose, tensor_product
+from .groups import BUILTIN_GROUPS, GroupError, builtin_group, decompose, tensor_product
 from .selection import DefectClass, Policy, selection_table
 from .spectrum import (
     AngularModel,
@@ -51,6 +51,7 @@ from .spectrum import (
 )
 
 OUTPUT_DIR_ENV = "SICPL_OUTPUT_DIR"
+MAX_GRID_POINTS = 10**7  # largest energy grid or angle list built from flags
 
 
 def _out_path(path: str) -> Path:
@@ -77,12 +78,20 @@ def _laser(args) -> LaserConfig:
     raise CatalogError("specify the laser with --laser-nm or --laser-mev")
 
 
-def _arange(start: float, stop: float, step: float) -> np.ndarray:
+def _arange(start: float, stop: float, step: float, flags: tuple[str, str]) -> np.ndarray:
     """Points from start to stop inclusive (within half a step), step apart."""
     if not (math.isfinite(step) and step > 0):
         raise SpectrumError(f"--step must be finite and positive, got {step:g}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise SpectrumError(f"range ends must be finite, got {start:g} and {stop:g}")
+    if stop < start:
+        raise SpectrumError(f"{flags[1]} {stop:g} is below {flags[0]} {start:g}")
+    # Compared as a float before anything is allocated; inf counts as too many.
+    if (stop - start) / step >= MAX_GRID_POINTS:
+        raise SpectrumError(
+            f"{flags[0]} {start:g} to {flags[1]} {stop:g} with --step {step:g} "
+            f"would exceed {MAX_GRID_POINTS} points"
+        )
     return np.arange(start, stop + step / 2.0, step)
 
 
@@ -107,67 +116,58 @@ def _catalog_slice(args) -> list:
     return builtin_catalog().lines_for(polytype, defect, geometry)
 
 
-def cmd_product(args) -> int:
+def cmd_product(args) -> tuple[dict, str]:
     group = builtin_group(args.group)
     if len(args.irreps) < 2:
         raise GroupError("need at least two irrep labels")
     rep = tensor_product(*[group.rep(label) for label in args.irreps])
     mult = decompose(rep)
     trivial = group.trivial_irrep.label
-    has_trivial = mult[trivial] >= 1
-    if args.format == "json":
-        print(json.dumps({
-            "group": group.name,
-            "factors": args.irreps,
-            "decomposition": mult.counts,
-            "contains_trivial": has_trivial,
-        }, indent=2))
-    else:
-        yn = "yes" if has_trivial else "no"
-        print(f"{mult.direct_sum_str()} (contains {trivial}: {yn})")
-    return 0
+    result = {
+        "group": group.name,
+        "factors": args.irreps,
+        "decomposition": mult.counts,
+        "contains_trivial": mult[trivial] >= 1,
+    }
+    yn = "yes" if result["contains_trivial"] else "no"
+    return result, f"{mult.direct_sum_str()} (contains {trivial}: {yn})\n"
 
 
-def cmd_selection(args) -> int:
-    policy = Policy.GROUP_THEORY_ONLY if args.policy == "group-theory-only" else Policy.PHYSICAL_OVERRIDE
-    table = selection_table(DefectClass(args.defect_class), policy)
-    if args.format == "json":
-        print(table.to_json())
-    else:
-        print(f"# defect class: {args.defect_class}, policy: {policy.value}")
-        print(table.to_text())
-    return 0
+def cmd_selection(args) -> tuple[dict, str]:
+    table = selection_table(DefectClass(args.defect_class), Policy(args.policy))
+    result = table.to_dict()
+    header = f"# defect class: {result['defect_class']}, policy: {result['policy']}"
+    return result, f"{header}\n{table.to_text()}\n"
 
 
-def cmd_excite(args) -> int:
+def cmd_excite(args) -> tuple[dict, str]:
     laser = _laser(args)
     lines = _catalog_slice(args)
     hits = excited_lines(lines, laser, args.basal_b, args.zpl_fwhm)
-    if args.format == "json":
-        print(json.dumps({
-            "laser_mev": laser.photon_energy_mev,
-            "phi_deg": laser.polarizer_angle_deg,
-            "mode": laser.mode.value,
-            "lines": [
-                {"label": li.label, "energy_mev": li.energy_mev,
-                 "geometry": li.geometry.value, "efficiency": eff}
-                for li, eff in hits
-            ],
-        }, indent=2))
-    else:
-        print(f"# laser {laser.photon_energy_mev:.1f} meV, phi {laser.polarizer_angle_deg:g} deg, "
-              f"mode {laser.mode.value}, basal_b {args.basal_b}")
-        for li, eff in hits:
-            print(f"{li.label}\t{li.energy_mev:.1f} meV\t{li.geometry.value}\t{eff:.4f}")
-    return 0
+    result = {
+        "laser_mev": laser.photon_energy_mev,
+        "phi_deg": laser.polarizer_angle_deg,
+        "mode": laser.mode.value,
+        "lines": [
+            {"label": li.label, "energy_mev": li.energy_mev,
+             "geometry": li.geometry.value, "efficiency": eff}
+            for li, eff in hits
+        ],
+    }
+    text = (f"# laser {result['laser_mev']:.1f} meV, phi {result['phi_deg']:g} deg, "
+            f"mode {result['mode']}, basal_b {args.basal_b}\n")
+    for hit in result["lines"]:
+        text += (f"{hit['label']}\t{hit['energy_mev']:.1f} meV\t"
+                 f"{hit['geometry']}\t{hit['efficiency']:.4f}\n")
+    return result, text
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple[None, str]:
     laser = _laser(args)
     lines = _catalog_slice(args)
     hits = excited_lines(lines, laser, args.basal_b, args.zpl_fwhm)
     shape = LineShapeParams(zpl_fwhm_mev=args.zpl_fwhm, debye_waller=args.dw)
-    grid = _arange(args.emin, args.emax, args.step)
+    grid = _arange(args.emin, args.emax, args.step, ("--emin", "--emax"))
     metadata = {
         "laser_mev": f"{laser.photon_energy_mev:.4f}",
         "phi_deg": laser.polarizer_angle_deg,
@@ -183,13 +183,12 @@ def cmd_spectrum(args) -> int:
     write_spectrum(path, spectrum)
     for warning in spectrum.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    print(f"wrote {path} ({len(hits)} lines)")
-    return 0
+    return None, f"wrote {path} ({len(hits)} lines)\n"
 
 
-def cmd_angular_scan(args) -> int:
+def cmd_angular_scan(args) -> tuple[None, str]:
     model = AngularModel(args.amplitude, args.modulation)
-    phis = _arange(args.start, args.stop, args.step)
+    phis = _arange(args.start, args.stop, args.step, ("--start", "--stop"))
     samples = angular_scan(model, phis, args.noise, args.seed)
     metadata = {
         "amplitude": args.amplitude,
@@ -199,80 +198,69 @@ def cmd_angular_scan(args) -> int:
     }
     path = _out_path(args.out)
     write_angular_samples(path, samples, metadata)
-    print(f"wrote {path} ({len(samples)} samples)")
-    return 0
+    return None, f"wrote {path} ({len(samples)} samples)\n"
 
 
-def cmd_fit_angle(args) -> int:
+def cmd_fit_angle(args) -> tuple[dict, str]:
     samples = read_angular_samples(args.input)
     model, residual = fit_angular(samples)
     plane = ScanPlane(args.scan_plane)
     geometry = classify_geometry(model, plane, args.axial_threshold)
-    if args.format == "json":
-        print(json.dumps({
-            "amplitude": model.amplitude,
-            "modulation": model.modulation,
-            "residual": residual,
-            "geometry": geometry.value,
-            "scan_plane": plane.value,
-            "axial_threshold": args.axial_threshold,
-        }, indent=2))
-    else:
-        print(f"A = {model.amplitude:.6g}")
-        print(f"B = {model.modulation:.6g}")
-        print(f"residual = {residual:.3g}")
-        print(f"geometry = {geometry.value} (scan plane {plane.value}, "
-              f"threshold {args.axial_threshold})")
-    return 0
+    result = {
+        "amplitude": model.amplitude,
+        "modulation": model.modulation,
+        "residual": residual,
+        "geometry": geometry.value,
+        "scan_plane": plane.value,
+        "axial_threshold": args.axial_threshold,
+    }
+    text = (f"A = {result['amplitude']:.6g}\n"
+            f"B = {result['modulation']:.6g}\n"
+            f"residual = {result['residual']:.3g}\n"
+            f"geometry = {result['geometry']} (scan plane {result['scan_plane']}, "
+            f"threshold {result['axial_threshold']})\n")
+    return result, text
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> tuple[dict | list | None, str]:
     if args.verify_units:
         medium = Medium.air(args.air_index)
         residuals = builtin_catalog().unit_residuals(medium)
-        worst = max(abs(r) for _, r in residuals)
-        if args.format == "json":
-            print(json.dumps({
-                "air_index": medium.refractive_index,
-                "residuals_mev": {li.label: r for li, r in residuals},
-                "max_abs_residual_mev": worst,
-            }, indent=2))
-        else:
-            print(f"# air index {medium.refractive_index}")
-            for li, r in residuals:
-                print(f"{li.label}\t{r:+.4f} meV")
-            print(f"# max |residual| = {worst:.4f} meV")
-        return 0
+        result = {
+            "air_index": medium.refractive_index,
+            "residuals_mev": {li.label: r for li, r in residuals},
+            "max_abs_residual_mev": max(abs(r) for _, r in residuals),
+        }
+        text = f"# air index {result['air_index']}\n"
+        for label, r in result["residuals_mev"].items():
+            text += f"{label}\t{r:+.4f} meV\n"
+        text += f"# max |residual| = {result['max_abs_residual_mev']:.4f} meV\n"
+        return result, text
     lines = _catalog_slice(args)
     if args.export:
         path = _out_path(args.export)
         path.write_text(format_catalog(Catalog(tuple(lines))))
-        print(f"wrote {path} ({len(lines)} lines)")
-        return 0
-    if args.format == "json":
-        print(json.dumps([
-            {"label": li.label, "polytype": li.polytype.value,
-             "defect": li.defect.value, "wavelength_nm": li.wavelength_nm,
-             "energy_mev": li.energy_mev, "geometry": li.geometry.value,
-             "sites": "".join(li.sites)}
-            for li in lines
-        ], indent=2))
-    else:
-        for li in lines:
-            print(f"{li.label}\t{li.polytype.value}\t{li.defect.value}\t"
-                  f"{li.wavelength_nm} nm\t{li.energy_mev} meV\t"
-                  f"{li.geometry.value}\t{''.join(li.sites)}")
-    return 0
+        return None, f"wrote {path} ({len(lines)} lines)\n"
+    result = [
+        {"label": li.label, "polytype": li.polytype.value,
+         "defect": li.defect.value, "wavelength_nm": li.wavelength_nm,
+         "energy_mev": li.energy_mev, "geometry": li.geometry.value,
+         "sites": "".join(li.sites)}
+        for li in lines
+    ]
+    text = "".join(
+        f"{row['label']}\t{row['polytype']}\t{row['defect']}\t"
+        f"{row['wavelength_nm']} nm\t{row['energy_mev']} meV\t"
+        f"{row['geometry']}\t{row['sites']}\n"
+        for row in result
+    )
+    return result, text
 
 
-def cmd_debye_waller(args) -> int:
+def cmd_debye_waller(args) -> tuple[dict, str]:
     spectrum = read_spectrum(args.input)
     dw = debye_waller(spectrum, tuple(args.zpl_window), tuple(args.band_window))
-    if args.format == "json":
-        print(json.dumps({"debye_waller": dw}))
-    else:
-        print(f"debye_waller = {dw:.6f}")
-    return 0
+    return {"debye_waller": dw}, f"debye_waller = {dw:.6f}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,29 +274,32 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=["text", "json"], default="text")
 
+    polytypes = [p.value for p in Polytype]
+    defects = [d.value for d in Defect]
+
     p = sub.add_parser("product", help="decompose a direct product of irreps")
-    p.add_argument("group", choices=["C3v", "C1h", "C3v_double"])
+    p.add_argument("group", choices=BUILTIN_GROUPS)
     p.add_argument("irreps", nargs="+", help="two or more irrep labels")
     add_format(p)
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("selection", help="print a selection-rule grid")
     p.add_argument("defect_class", choices=[c.value for c in DefectClass])
-    p.add_argument("--policy", choices=["physical", "group-theory-only"],
-                   default="physical")
+    p.add_argument("--policy", choices=[p.value for p in Policy],
+                   default=Policy.PHYSICAL_OVERRIDE.value)
     add_format(p)
     p.set_defaults(func=cmd_selection)
 
     p = sub.add_parser("excite", help="lines excitable by a given laser")
-    p.add_argument("polytype", choices=["4H", "6H"])
-    p.add_argument("defect", choices=["VV", "NV"], type=str.upper)
+    p.add_argument("polytype", choices=polytypes)
+    p.add_argument("defect", choices=defects, type=str.upper)
     _add_laser_flags(p)
     add_format(p)
     p.set_defaults(func=cmd_excite)
 
     p = sub.add_parser("spectrum", help="synthesize a polarized PL spectrum")
-    p.add_argument("polytype", choices=["4H", "6H"])
-    p.add_argument("defect", choices=["VV", "NV"], type=str.upper)
+    p.add_argument("polytype", choices=polytypes)
+    p.add_argument("defect", choices=defects, type=str.upper)
     _add_laser_flags(p)
     p.add_argument("--emin", type=float, required=True, help="grid start in meV")
     p.add_argument("--emax", type=float, required=True, help="grid end in meV")
@@ -337,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit_angle)
 
     p = sub.add_parser("catalog", help="query or export the ZPL catalog")
-    p.add_argument("polytype", nargs="?", choices=["4H", "6H"])
-    p.add_argument("defect", nargs="?", type=str.upper, choices=["VV", "NV"])
-    p.add_argument("--geometry", choices=["axial", "basal"])
+    p.add_argument("polytype", nargs="?", choices=polytypes)
+    p.add_argument("defect", nargs="?", type=str.upper, choices=defects)
+    p.add_argument("--geometry", choices=[g.value for g in Geometry])
     p.add_argument("--verify-units", action="store_true",
                    help="report per-line nm/meV residuals")
     p.add_argument("--air-index", type=float, default=DEFAULT_AIR_INDEX)
@@ -363,10 +354,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        result, text = args.func(args)
     except (GroupError, CatalogError, SpectrumError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # Subcommands without --format always return None.
+    if result is not None and args.format == "json":
+        text = json.dumps(result, indent=2) + "\n"
+    print(text, end="")
+    return 0
 
 
 if __name__ == "__main__":

@@ -118,8 +118,8 @@ class Verdict:
 
 
 class Policy(enum.Enum):
+    PHYSICAL_OVERRIDE = "physical"  # the default, so listed first
     GROUP_THEORY_ONLY = "group-theory-only"
-    PHYSICAL_OVERRIDE = "physical"
 
 
 def dipole_rep(group: PointGroupTable, pol: Polarization) -> RepVector:
@@ -272,8 +272,8 @@ class SelectionTable:
             out.append("\t".join([label] + [v.symbol for v in verdicts]))
         return "\n".join(out)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "defect_class": self.defect_class.value,
             "policy": self.policy.value,
             "columns": ["ZPL"] + list(PHONON_COLUMNS),
@@ -292,7 +292,9 @@ class SelectionTable:
                 for label, verdicts in self.rows
             ],
         }
-        return json.dumps(payload, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def selection_table(

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from sicpl.cli import main
 from sicpl.fileio import read_spectrum
@@ -10,6 +12,85 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SCAN_ROWS = "0\t2.1\n45\t1\n90\t0\n135\t0.9\n"
+SPECTRUM_ROWS = "1000 0\n1001 1\n1002 4\n1003 1\n1004 0\n"
+JSON = object()  # stdout is JSON, written with a 2-space indent
+GOLDEN = [
+    (["product", "C3v", "E", "E", "A2"], "A1 + A2 + E (contains A1: yes)\n"),
+    (["product", "C3v", "E", "E", "A2", "--format", "json"], JSON),
+    (["selection", "triplet-axial"],
+     "# defect class: triplet-axial, policy: physical\n"
+     "polarization\tZPL\tA1\tA2\tE\n"
+     "E_perp_c\tA\tA\tA\tA\n"
+     "E_par_c\tF\tF\tF\tA*\n"),
+    (["selection", "vsi-single-group", "--policy", "group-theory-only"],
+     "# defect class: vsi-single-group, policy: group-theory-only\n"
+     "polarization\tZPL\tA1\tA2\tE\n"
+     "E_perp_c\tF\tF\tF\tA\n"
+     "E_par_c\tA\tA\tF\tF\n"),
+    (["selection", "triplet-axial", "--format", "json"], JSON),
+    (["excite", "4H", "VV", "--laser-nm", "1090", "--phi", "90"],
+     "# laser 1137.2 meV, phi 90 deg, mode non-resonant, basal_b 0.33\n"
+     "PL3\t1119.1 meV\tbasal\t0.5038\n"),
+    (["excite", "4H", "NV", "--laser-mev", "1400", "--phi", "0"],
+     "# laser 1400.0 meV, phi 0 deg, mode non-resonant, basal_b 0.33\n"
+     "NV1\t997.5 meV\tbasal\t1.0000\n"
+     "NV2\t1013.5 meV\taxial\t1.0000\n"
+     "NV3\t1050.7 meV\taxial\t1.0000\n"
+     "NV4\t1054.0 meV\tbasal\t1.0000\n"),
+    (["excite", "4H", "NV", "--laser-mev", "1400", "--phi", "0", "--format", "json"], JSON),
+    (["spectrum", "4H", "VV", "--laser-nm", "1090", "--phi", "90",
+      "--emin", "1100", "--emax", "1130", "--out", "s.tsv"],
+     "wrote s.tsv (1 lines)\n"),
+    (["angular-scan", "-A", "1", "-B", "0.5", "--out", "a.tsv"],
+     "wrote a.tsv (12 samples)\n"),
+    (["fit-angle", "scan.tsv"],
+     "A = 1\n"
+     "B = 1\n"
+     "residual = 0.141\n"
+     "geometry = axial (scan plane toward-c, threshold 0.95)\n"),
+    (["fit-angle", "scan.tsv", "--format", "json"], JSON),
+    (["catalog", "4H", "VV"],
+     "PL1\t4H\tVV\t1132.0 nm\t1095.0 meV\taxial\thh\n"
+     "PL2\t4H\tVV\t1130.5 nm\t1096.5 meV\taxial\tkk\n"
+     "PL3\t4H\tVV\t1107.6 nm\t1119.1 meV\tbasal\tkh\n"
+     "PL4\t4H\tVV\t1078.5 nm\t1149.3 meV\tbasal\thk\n"),
+    (["catalog", "6H", "VV", "--geometry", "axial", "--format", "json"], JSON),
+    (["catalog", "--verify-units"],
+     "# air index 1.000276\n"
+     "PL1\t-0.0354 meV\nPL2\t-0.0826 meV\nPL3\t-0.0138 meV\nPL4\t-0.0187 meV\n"
+     "QL1\t+0.0622 meV\nQL2\t-0.0296 meV\nQL3\t-0.0440 meV\nQL4\t-0.0117 meV\n"
+     "QL5\t+0.0161 meV\nQL6\t+0.0347 meV\n"
+     "NV1\t-0.0751 meV\nNV2\t-0.0087 meV\nNV3\t+0.0798 meV\nNV4\t-0.0035 meV\n"
+     "SL1\t-0.0283 meV\nSL2\t-0.0184 meV\nSL3\t+0.0551 meV\nSL4\t+0.0484 meV\n"
+     "SL5\t+0.0142 meV\nSL6\t+0.0693 meV\n"
+     "# max |residual| = 0.0826 meV\n"),
+    (["catalog", "--verify-units", "--format", "json"], JSON),
+    (["catalog", "4H", "VV", "--export", "c.txt"], "wrote c.txt (4 lines)\n"),
+    (["catalog", "4H", "VV", "--export", "c.txt", "--format", "json"],
+     "wrote c.txt (4 lines)\n"),
+    (["debye-waller", "spec.tsv", "--zpl-window", "1001", "1003",
+      "--band-window", "1000", "1004"],
+     "debye_waller = 0.833333\n"),
+    (["debye-waller", "spec.tsv", "--zpl-window", "1001", "1003",
+      "--band-window", "1000", "1004", "--format", "json"], JSON),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_stdout_is_pinned(capsys, tmp_path, monkeypatch, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SICPL_OUTPUT_DIR", raising=False)
+    (tmp_path / "scan.tsv").write_text(SCAN_ROWS)
+    (tmp_path / "spec.tsv").write_text(SPECTRUM_ROWS)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if expected is JSON:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    else:
+        assert out == expected
 
 
 class TestProduct:
@@ -275,6 +356,39 @@ class TestStepValidation:
         assert not (tmp_path / "scan.tsv").exists()
 
 
+class TestGridRange:
+    SPECTRUM = ["spectrum", "4H", "VV", "--laser-nm", "930"]
+    SCAN = ["angular-scan", "-A", "1", "-B", "0"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (SPECTRUM + ["--emin", "0", "--emax", "1e30", "--step", "1"],
+             "--emin 0 to --emax 1e+30 with --step 1 would exceed 10000000 points"),
+            (SPECTRUM + ["--emin=-1.7e308", "--emax", "1.7e308", "--step", "1e300"],
+             "would exceed 10000000 points"),
+            (SCAN + ["--start", "0", "--stop", "1e30", "--step", "1"],
+             "--start 0 to --stop 1e+30 with --step 1 would exceed 10000000 points"),
+            (SPECTRUM + ["--emin", "1160", "--emax", "950"], "--emax 950 is below --emin 1160"),
+            (SCAN + ["--start", "100", "--stop", "0"], "--stop 0 is below --start 100"),
+        ],
+    )
+    def test_oversized_or_reversed_range_exits_1(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "out.tsv"
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+    def test_single_point_range_is_accepted(self, capsys, tmp_path):
+        out = tmp_path / "out.tsv"
+        code, stdout, _ = run(capsys, *self.SCAN, "--start", "45", "--stop", "45",
+                              "--out", str(out))
+        assert code == 0
+        assert stdout == f"wrote {out} (1 samples)\n"
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv",
@@ -335,3 +449,59 @@ class TestExitCodes:
         code, _, err = run(capsys, "fit-angle", str(tmp_path / "missing.tsv"))
         assert code == 1
         assert err.startswith("error:")
+
+
+# Numeric flag values for the fuzz test: non-finite, zero, negative, huge,
+# and ordinary values whose pairs also make reversed ranges.
+FUZZ_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "-1e30", "1e30",
+                "0.5", "1", "45", "90", "100", "950", "1090", "1160"]
+LASER_FLAGS = ["--laser-nm", "--laser-mev", "--phi", "--air-index", "--basal-b", "--zpl-fwhm"]
+# A valid argv per subcommand, then its numeric flags; a flag given again
+# after the valid argv overrides it.
+FUZZ_COMMANDS = [
+    (["product", "C3v", "E", "E", "A2"], []),
+    (["selection", "triplet-axial"], []),
+    (["excite", "4H", "VV", "--laser-mev=1200"], LASER_FLAGS),
+    (["spectrum", "4H", "VV", "--laser-mev=1200", "--emin=1000", "--emax=1160",
+      "--out", "s.tsv"], LASER_FLAGS + ["--emin", "--emax", "--step", "--dw"]),
+    (["angular-scan", "-A", "1", "-B", "0.5", "--out", "a.tsv"],
+     ["--amplitude", "--modulation", "--start", "--stop", "--step", "--noise", "--seed"]),
+    (["fit-angle", "scan.tsv"], ["--axial-threshold"]),
+    (["catalog", "--verify-units"], ["--air-index"]),
+    (["debye-waller", "wide.tsv", "--zpl-window", "1000", "1100",
+      "--band-window", "950", "1160"], ["--zpl-window", "--band-window"]),
+]
+WIDE_SPECTRUM_ROWS = "0 0\n100 0.1\n950 0.5\n1000 1\n1090 4\n1100 2\n1160 0\n"
+
+
+@st.composite
+def fuzz_argv(draw):
+    argv, flags = draw(st.sampled_from(FUZZ_COMMANDS))
+    argv = list(argv)
+    number = st.sampled_from(FUZZ_NUMBERS)
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=3)) if flags else []:
+        if flag == "--seed":
+            argv.append(f"--seed={draw(st.sampled_from(['-1', '0', '7']))}")
+        elif flag.endswith("-window"):
+            argv += [flag, draw(number), draw(number)]
+        else:
+            argv.append(f"{flag}={draw(number)}")
+    return argv
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzz_argv())
+@example(argv=["spectrum", "4H", "VV", "--laser-nm=930", "--emin=0", "--emax=1e30",
+                "--step=1", "--out", "s.tsv"])
+@example(argv=["angular-scan", "-A", "1", "-B", "0", "--start=100", "--stop=0",
+                "--out", "a.tsv"])
+def test_no_argv_ends_in_a_traceback(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SICPL_OUTPUT_DIR", str(tmp_path / "out"))
+    (tmp_path / "scan.tsv").write_text(SCAN_ROWS)
+    (tmp_path / "wide.tsv").write_text(WIDE_SPECTRUM_ROWS)
+    try:
+        assert main(argv) in (0, 1)
+    except SystemExit as exc:
+        assert exc.code == 2
