@@ -293,7 +293,7 @@ def debye_waller(
     if not (blo <= zlo < zhi <= bhi):
         raise SpectrumError("ZPL window must lie inside the band window")
     grid = spectrum.energy_mev
-    if blo < grid[0] or bhi > grid[-1]:
+    if grid.size == 0 or blo < grid[0] or bhi > grid[-1]:
         raise SpectrumError("band window exceeds the spectrum grid")
 
     def window_area(lo: float, hi: float) -> float:

@@ -439,6 +439,15 @@ class TestBadInput:
         assert err.startswith(f"error: {bad}: line {lineno}: expected 2 columns")
 
 
+def test_debye_waller_on_empty_spectrum_exits_1(capsys, tmp_path):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# no rows\n")
+    code, out, err = run(capsys, "debye-waller", str(empty),
+                         "--zpl-window", "1", "2", "--band-window", "0", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: band window exceeds the spectrum grid\n"
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as excinfo:
