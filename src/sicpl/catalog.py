@@ -181,11 +181,15 @@ def _parse_record(tokens: list[str]) -> ZplLine:
     )
 
 
-def parse_catalog(text: str) -> Catalog:
-    """Parse catalog records; a bad record or duplicate label is a located CatalogError."""
+def parse_catalog(text: str, source: str = "catalog") -> Catalog:
+    """Parse catalog records.
+
+    A bad record or duplicate label is a CatalogError located as
+    ``<source>: line N:``.
+    """
     lines = []
     seen: set[tuple[Polytype, Defect, str]] = set()
-    reader = RecordReader(text, "catalog")
+    reader = RecordReader(text, source)
     for lineno, tokens in reader:
         try:
             line = _parse_record(tokens)
@@ -200,7 +204,7 @@ def parse_catalog(text: str) -> Catalog:
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    return parse_catalog(Path(path).read_text())
+    return parse_catalog(Path(path).read_text(), source=str(path))
 
 
 def format_catalog(catalog: Catalog) -> str:

@@ -12,10 +12,10 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .catalog import (
@@ -50,8 +50,18 @@ from .spectrum import (
     synthesize_spectrum,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 OUTPUT_DIR_ENV = "SICPL_OUTPUT_DIR"
 MAX_GRID_POINTS = 10**7  # largest energy grid or angle list built from flags
+
+# Arguments that argparse must read as negative numbers, not as options:
+# its own pattern (-N, -N.N) misses exponents (-1e1) and -inf/-nan, which
+# float() accepts.  No sicpl option starts with a digit, "inf" or "nan".
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE
+)
 
 
 def _out_path(path: str) -> Path:
@@ -80,6 +90,8 @@ def _laser(args) -> LaserConfig:
 
 def _arange(start: float, stop: float, step: float, flags: tuple[str, str]) -> np.ndarray:
     """Points from start to stop inclusive (within half a step), step apart."""
+    import numpy as np
+
     if not (math.isfinite(step) and step > 0):
         raise SpectrumError(f"--step must be finite and positive, got {step:g}")
     if not (math.isfinite(start) and math.isfinite(stop)):
@@ -347,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_debye_waller)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

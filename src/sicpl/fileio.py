@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-import numpy as np
-
 from .records import RecordReader, header_lines
 from .spectrum import AngularSample, Spectrum, SpectrumError
 
@@ -21,7 +19,8 @@ from .spectrum import AngularSample, Spectrum, SpectrumError
 def write_spectrum(path: str | Path, spectrum: Spectrum) -> None:
     lines = header_lines(spectrum.metadata, spectrum.warnings)
     lines.append("# columns: energy_meV intensity")
-    for e, i in zip(spectrum.energy_mev, spectrum.intensity):
+    # Python floats format like numpy's float64 scalars, and faster
+    for e, i in zip(spectrum.energy_mev.tolist(), spectrum.intensity.tolist()):
         lines.append(f"{e:.6f}\t{i:.9g}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -57,6 +56,8 @@ def _columns(reader: RecordReader) -> tuple[list[float], list[float]]:
 
 
 def read_spectrum(path: str | Path) -> Spectrum:
+    import numpy as np
+
     reader = _reader(path)
     energy, intensity = _columns(reader)
     return Spectrum(np.array(energy), np.array(intensity), reader.header, tuple(reader.warnings))

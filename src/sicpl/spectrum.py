@@ -12,10 +12,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .catalog import Geometry, Medium, ZplLine, nm_to_mev
+
+# numpy is imported inside the numeric kernels, not here: the symmetry
+# and catalog commands never need it, and it dominates their start-up.
+if TYPE_CHECKING:
+    import numpy as np
 
 # angle convention: phi = 0 is E perpendicular to c, phi = 90 is E parallel to c
 DEFAULT_BASAL_MODULATION = 0.33
@@ -50,6 +54,8 @@ def cos2phi(phi_deg: float) -> float:
 
 def cos2phi_array(phi_deg: np.ndarray) -> np.ndarray:
     """Element-wise :func:`cos2phi`, with the same reduction and exact values."""
+    import numpy as np
+
     angle = np.remainder(2.0 * np.asarray(phi_deg, dtype=float), 360.0)
     values = np.cos(np.radians(angle))
     for exact_angle, value in _EXACT_COS2PHI.items():
@@ -197,6 +203,8 @@ def _gaussian(
     x: np.ndarray, center: float, sigma: float, area: float, out: np.ndarray
 ) -> np.ndarray:
     """Normalized Gaussian of the given area on ``x``, computed in place in ``out``."""
+    import numpy as np
+
     amp = area / (sigma * math.sqrt(2.0 * math.pi))
     np.subtract(x, center, out=out)
     out /= sigma
@@ -246,6 +254,8 @@ def synthesize_spectrum(
     spectrum of a union of lines equals the sum of their separate
     spectra.
     """
+    import numpy as np
+
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise SpectrumError("energy grid must be a strictly ascending 1-d array")
@@ -288,6 +298,8 @@ def debye_waller(
     band_window: tuple[float, float],
 ) -> float:
     """ZPL-window area over band-window area, by trapezoidal integration."""
+    import numpy as np
+
     zlo, zhi = zpl_window
     blo, bhi = band_window
     if not (blo <= zlo < zhi <= bhi):
@@ -319,6 +331,8 @@ def angular_scan(
     The noise is drawn in one call, which yields the same values as one
     draw per sample in angle order.
     """
+    import numpy as np
+
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise SpectrumError(f"noise sigma must be finite and non-negative, got {noise_sigma}")
     if seed is not None and seed < 0:
@@ -336,6 +350,8 @@ def fit_angular(samples: list[AngularSample]) -> tuple[AngularModel, float]:
     Linear in (A, A*B) on the basis {1, cos 2 phi}; B is clamped into
     [-1, 1] so noisy near-axial data still yields a valid model.
     """
+    import numpy as np
+
     if len(samples) < 3:
         raise DegenerateFitError("need at least 3 samples")
     phis = np.fromiter((s.phi_deg for s in samples), float, len(samples))

@@ -221,5 +221,12 @@ class TestCatalogFiles:
         with pytest.raises(CatalogError, match="catalog: line 2: duplicate label 'PL1'"):
             parse_catalog(text)
 
+    def test_bad_record_in_a_file_is_located_by_its_path(self, tmp_path):
+        path = tmp_path / "extra.txt"
+        path.write_text("# one line\nPL1 4H VV 1132.0 1095.0 axial hh a\nPL2 4H VV oops\n")
+        with pytest.raises(CatalogError) as excinfo:
+            load_catalog(path)
+        assert str(excinfo.value).startswith(f"{path}: line 3: ")
+
     def test_default_air_index_documented_value(self):
         assert DEFAULT_AIR_INDEX == pytest.approx(1.000276, abs=1e-6)

@@ -389,6 +389,42 @@ class TestGridRange:
         assert stdout == f"wrote {out} (1 samples)\n"
 
 
+class TestNegativeNumberValues:
+    """Exponent and non-finite negative values are values, not options."""
+
+    @pytest.mark.parametrize("start, first", [("-1e1", "-10.0000"), ("-1E+1", "-10.0000"),
+                                              ("-.5e1", "-5.0000"), ("-1.5", "-1.5000")])
+    def test_start_in_exponent_form_runs(self, capsys, tmp_path, start, first):
+        out = tmp_path / "scan.tsv"
+        code, stdout, _ = run(capsys, "angular-scan", "-A", "1", "-B", "-1e-1",
+                              "--start", start, "--stop", "0", "--out", str(out))
+        assert code == 0 and stdout.startswith(f"wrote {out}")
+        assert out.read_text().split("# columns: phi_deg intensity\n")[1].startswith(first)
+
+    def test_band_window_in_exponent_form_reaches_debye_waller(self, capsys, tmp_path):
+        spectrum = tmp_path / "s.tsv"
+        spectrum.write_text(SPECTRUM_ROWS)
+        code, stdout, err = run(capsys, "debye-waller", str(spectrum),
+                                "--zpl-window", "1001", "1003", "--band-window", "-1e3", "1004")
+        assert (code, stdout) == (1, "")
+        assert err == "error: band window exceeds the spectrum grid\n"
+
+    @pytest.mark.parametrize("start", ["-inf", "-Infinity", "-nan", "-NaN"])
+    def test_non_finite_start_exits_1(self, capsys, tmp_path, start):
+        out = tmp_path / "scan.tsv"
+        code, stdout, err = run(capsys, "angular-scan", "-A", "1", "-B", "0",
+                                "--start", start, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: range ends must be finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1e", "-e1", "-infx", "-1.2.3"])
+    def test_other_dash_words_stay_options(self, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["angular-scan", "-A", "1", "-B", "0", "--start", value, "--out", "x.tsv"])
+        assert excinfo.value.code == 2
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv",

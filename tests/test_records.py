@@ -84,6 +84,20 @@ class TestTwoColumnFiles:
         assert np.array_equal(back.energy_mev, grid)
         assert np.allclose(back.intensity, spectrum.intensity, rtol=1e-8, atol=0)
 
+    def test_spectrum_rows_format_like_numpy_scalars(self, tmp_path):
+        # tiny, huge, negative, signed-zero and integral values
+        values = [5e-324, 1e-300, 2.2250738585072014e-308, 1e-9, 0.0, -0.0, -1e-12,
+                  -2.5, 1.0, 3.0, 123456789.0, 1e6, 1e16, 1.7976931348623157e308,
+                  -1e300, 0.1, 1 / 3, 1234.5678905]
+        grid = np.array(values) + 1000.0
+        spectrum = Spectrum(grid, np.array(values), {"lines": "PL1"}, ("a warning",))
+        path = tmp_path / "s.tsv"
+        write_spectrum(path, spectrum)
+        rows = [f"{e:.6f}\t{i:.9g}" for e, i in zip(spectrum.energy_mev, spectrum.intensity)]
+        expected = header_lines(spectrum.metadata, spectrum.warnings)
+        expected += ["# columns: energy_meV intensity", *rows]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
     def test_scan_round_trip(self, tmp_path):
         samples = [AngularSample(0.0, 2.0), AngularSample(45.5, 1.25)]
         path = tmp_path / "scan.tsv"
