@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 
 from .exact import GaussianRational, ONE, ZERO, parse_scalar, rational
@@ -163,13 +162,15 @@ def _parse_table_text(text: str) -> PointGroupTable:
                 class_sizes.append(_positive_int(tokens[2], "class size"))
             elif key == "irrep":
                 label, dim, kind = tokens[1], _positive_int(tokens[2], "dimension"), tokens[3]
+                if any(ir.label == label for _, ir in irreps):
+                    raise ValueError(f"irrep label {label!r} is repeated")
                 chars = tuple(parse_scalar(t) for t in tokens[4:])
                 irreps.append((lineno, Irrep(label, dim, kind, chars)))
             else:
                 raise ValueError(f"unknown keyword {key!r}")
         except IndexError as exc:
             raise TableFormatError(reader.locate(lineno, f"too few fields for {key!r}")) from exc
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise TableFormatError(reader.locate(lineno, exc)) from exc
     if name is None or order is None or not class_labels or not irreps:
         raise TableFormatError("table: incomplete table: need group, order, classes, irreps")
@@ -273,7 +274,7 @@ def verify_table(table: PointGroupTable) -> list[Check]:
         for j, b in enumerate(table.irreps):
             acc = ZERO
             for n, ca, cb in zip(table.class_sizes, a.characters, b.characters):
-                acc = acc + (ca * cb.conjugate()).scale(Fraction(n))
+                acc = acc + (ca * cb.conjugate()).scale(n)
             expected = g if i == j else ZERO
             if acc != expected:
                 row_ok = False
@@ -290,7 +291,7 @@ def verify_table(table: PointGroupTable) -> list[Check]:
             # n_c * sum = |G| on the diagonal: no division, so a class of size 0 fails
             n_c = table.class_sizes[c1]
             expected = g if c1 == c2 else ZERO
-            if acc.scale(Fraction(n_c)) != expected:
+            if acc.scale(n_c) != expected:
                 col_ok = False
                 col_detail = (
                     f"columns {table.class_labels[c1]},{table.class_labels[c2]}: "
@@ -331,14 +332,14 @@ def decompose(rep: RepVector) -> Multiplicities:
     for ir in table.irreps:
         acc = ZERO
         for n, c, ck in zip(table.class_sizes, rep.characters, ir.characters):
-            acc = acc + (c * ck.conjugate()).scale(Fraction(n))
-        m = acc.scale(Fraction(1, table.order))
-        if not m.is_real or m.re.denominator != 1 or m.re < 0:
+            acc = acc + (c * ck.conjugate()).scale(n)
+        m, rem = divmod(acc.re, table.order)
+        if rem or acc.im or m < 0:
             raise InvalidRepresentationError(
-                f"multiplicity of {ir.label} is {m}, not a non-negative integer; "
-                "character vector is not a representation"
+                f"multiplicity of {ir.label} is ({acc})/{table.order}, not a non-negative "
+                "integer; character vector is not a representation"
             )
-        counts[ir.label] = int(m.re)
+        counts[ir.label] = m
     return Multiplicities(table, counts)
 
 

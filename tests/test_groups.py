@@ -1,9 +1,10 @@
 import dataclasses
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sicpl.exact import GaussianRational, parse_scalar, rational
 from sicpl.groups import (
@@ -39,7 +40,7 @@ def char_row(group, label):
 
 class TestScalars:
     def test_parse_round_trip(self):
-        for text in ["0", "1", "-1", "2", "1/2", "-3/2", "i", "-i", "2i", "1+i", "1-2i"]:
+        for text in ["0", "1", "-1", "2", "i", "-i", "2i", "1+i", "1-2i"]:
             value = parse_scalar(text)
             assert parse_scalar(str(value)) == value
 
@@ -49,11 +50,10 @@ class TestScalars:
         assert z.conjugate().conjugate() == z
 
     def test_arithmetic_is_exact(self):
-        third = GaussianRational(Fraction(1, 3))
-        assert third + third + third == rational(1)
+        assert parse_scalar("1+2i") * parse_scalar("1-2i") == rational(5)
 
     def test_malformed(self):
-        for bad in ["", "x", "ii", "1..2"]:
+        for bad in ["", "x", "ii", "1..2", "1/2", "-3/2"]:
             with pytest.raises(ValueError):
                 parse_scalar(bad)
 
@@ -196,6 +196,33 @@ class TestDecompose:
         with pytest.raises(InvalidRepresentationError):
             decompose(rep)
 
+    def test_negative_multiplicity_raises(self):
+        # (0, 0, 2) is A1 - A2: integral counts, one of them negative
+        rep = RepVector(builtin_group("C3v"), tuple(rational(v) for v in (0, 0, 2)))
+        with pytest.raises(InvalidRepresentationError, match="A2"):
+            decompose(rep)
+
+    def test_imaginary_multiplicity_raises(self):
+        # (2, 2i) reduces to A' = 1+i and A'' = 1-i; a reduction that
+        # dropped the imaginary part would return A' + A''
+        rep = RepVector(builtin_group("C1h"), (rational(2), GaussianRational(0, 2)))
+        with pytest.raises(InvalidRepresentationError):
+            decompose(rep)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_products_match_float_oracle(self, data):
+        g = builtin_group(data.draw(st.sampled_from(BUILTIN_GROUPS)))
+        labels = data.draw(st.lists(st.sampled_from(g.irrep_labels()), min_size=2, max_size=6))
+        rep = tensor_product(*(g.rep(label) for label in labels))
+        chars = [complex(c) for c in rep.characters]
+        expected = {}
+        for ir in g.irreps:
+            m = reduction_multiplicity(g.class_sizes, chars, char_row(g, ir.label), g.order)
+            assert abs(m - round(m.real)) < 1e-9
+            expected[ir.label] = round(m.real)
+        assert decompose(rep).counts == expected
+
     def test_reconstruction_invariant(self):
         g = builtin_group("C3v_double")
         rep = tensor_product(g.rep("E1/2"), g.rep("E1/2"))
@@ -325,6 +352,8 @@ class TestTableFormat:
             (8, "irrep E 0 single 2 -1 0"),
             (8, "irrep E 2 single 2 1/0 0"),
             (8, "irrep E 2 single 2 -1"),
+            (8, "irrep E 2 single 2 -1/2 0"),
+            (7, "irrep A2 1 single 1 1 -1e0"),
             (4, "class 2C3"),
         ],
     )
@@ -332,6 +361,14 @@ class TestTableFormat:
         lines = list(self.C3V_LINES)
         lines[lineno - 1] = bad
         with pytest.raises(TableFormatError, match=f"table: line {lineno}: "):
+            load_table("\n".join(lines))
+
+    def test_repeated_irrep_label_is_table_format_error_at_its_line(self):
+        # two irreps labelled A: decompose of the regular rep (2, 0) would
+        # count one A while direct_sum_str printed "A + A"
+        lines = ["group C1h", "order 2", "class E 1", "class s 1",
+                 "irrep A 1 single 1 1", "irrep A 1 single 1 -1"]
+        with pytest.raises(TableFormatError, match="table: line 6: .*'A'"):
             load_table("\n".join(lines))
 
     def test_zero_class_size_fails_verification_without_raising(self):

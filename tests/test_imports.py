@@ -2,6 +2,8 @@
 
 The symmetry and catalog commands never compute with numpy, so they must
 start without importing it; the numeric commands import it on first use.
+Exact characters are plain Gaussian integers, so no command loads
+``fractions`` or the ``decimal`` it pulls in.
 Every sicpl module is still loaded by ``import sicpl.cli``.
 """
 
@@ -17,14 +19,16 @@ SRC = str(Path(sicpl.__file__).resolve().parents[1])
 MODULES = ["exact", "groups", "selection", "catalog", "spectrum", "fileio", "cli"]
 
 # Runs each argv through cli.main in one fresh interpreter and reports the
-# loaded sicpl modules and whether numpy was imported, as its last line.
+# loaded sicpl modules and whether numpy, fractions and decimal were
+# imported, as its last line.
 PROBE = """
 import json, sys
 import sicpl, sicpl.cli
 loaded = sorted(name for name in sys.modules if name.startswith("sicpl."))
 for argv in json.loads(sys.argv[1]):
     assert sicpl.cli.main(argv) == 0, argv
-print(json.dumps({"modules": loaded, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"modules": loaded,
+                  **{name: name in sys.modules for name in ("numpy", "fractions", "decimal")}}))
 """
 
 NUMPY_FREE = [
@@ -55,7 +59,8 @@ def test_import_loads_every_sicpl_module(tmp_path):
 
 
 def test_symmetry_and_catalog_commands_never_import_numpy(tmp_path):
-    assert probe(tmp_path, *NUMPY_FREE)["numpy"] is False
+    loaded = probe(tmp_path, *NUMPY_FREE)
+    assert (loaded["numpy"], loaded["fractions"], loaded["decimal"]) == (False, False, False)
     assert "QL1 6H VV" in (tmp_path / "slice.txt").read_text()
 
 
