@@ -138,6 +138,11 @@ class LineShapeParams:
                 raise SpectrumError(f"sideband fwhm {fwhm} must be finite and positive")
             if not (math.isfinite(weight) and weight >= 0):
                 raise SpectrumError(f"sideband weight {weight} must be finite and non-negative")
+        # the sideband carries 1 - debye_waller of each band, so it needs a weight
+        if self.debye_waller < 1.0 and not any(weight > 0 for _, _, weight in self.sideband):
+            raise SpectrumError(
+                "a Debye-Waller fraction below 1 needs a sideband of positive weight"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +202,12 @@ def excited_lines(
 # dropped tail, exp(-K**2 / 2) of the peak, lies below 2**-53 of it.
 TRUNCATION_SIGMAS = 9.0
 _FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+# Synthesis walks the grid in tiles of this many points. Each Gaussian
+# makes seven passes over its window; within a tile the slices of the
+# grid, the intensity and the two line buffers (4 arrays x 32K points
+# x 8 B = 1 MB) stay in L2 cache, where a grid-sized pass would stream
+# each array from memory every time.
+_TILE_POINTS = 1 << 15
 
 
 def _gaussian(
@@ -222,7 +233,7 @@ def _line_components(
     dw = shape.debye_waller
     components = [(line.energy_mev, shape.zpl_fwhm_mev / _FWHM_PER_SIGMA, eff * dw)]
     total_weight = sum(w for _, _, w in shape.sideband)
-    if total_weight > 0 and dw < 1.0:
+    if dw < 1.0:
         for offset, fwhm, weight in shape.sideband:
             area = eff * (1.0 - dw) * weight / total_weight
             components.append((line.energy_mev - offset, fwhm / _FWHM_PER_SIGMA, area))
@@ -253,6 +264,12 @@ def synthesize_spectrum(
     total, so synthesis is bit-exactly linear in the line set: the
     spectrum of a union of lines equals the sum of their separate
     spectra.
+
+    Every line is planned first; the grid is then walked in tiles of
+    _TILE_POINTS points, each line clipped to the tile.  Every grid
+    point goes through the same operations in the same order as in one
+    pass over the whole grid, so the tile size changes no bit of the
+    result.
     """
     import numpy as np
 
@@ -265,10 +282,8 @@ def synthesize_spectrum(
     spacing = float(steps.max())
     del steps  # a grid-sized array: free it before the bands are built
 
-    intensity = np.zeros_like(grid)
-    # reused by every line, and indexed like the grid
-    band_buffer, scratch = np.empty_like(grid), np.empty_like(grid)
-    warnings = []
+    # plan every line first: its components and their windows on the grid
+    warnings, plans = [], []
     for line, eff in excited:
         if spacing > shapes.zpl_fwhm_mev / 4.0:
             warnings.append(
@@ -278,17 +293,34 @@ def synthesize_spectrum(
         components = _line_components(line, eff, shapes)
         centers = np.array([center for center, _, _ in components])
         half_widths = TRUNCATION_SIGMAS * np.array([sigma for _, sigma, _ in components])
-        starts = np.searchsorted(grid, centers - half_widths, side="left")
-        stops = np.searchsorted(grid, centers + half_widths, side="right")
-        # accumulate the full band per line over the union of its windows,
-        # then add: keeps synthesis bit-exactly linear in the line set
-        lo, hi = starts.min(), stops.max()
-        band_buffer[lo:hi] = 0.0
-        for (center, sigma, area), start, stop in zip(components, starts, stops):
-            band_buffer[start:stop] += _gaussian(
-                grid[start:stop], center, sigma, area, scratch[start:stop]
-            )
-        intensity[lo:hi] += band_buffer[lo:hi]
+        starts = np.searchsorted(grid, centers - half_widths, side="left").tolist()
+        stops = np.searchsorted(grid, centers + half_widths, side="right").tolist()
+        windows = [(c, s, e) for c, s, e in zip(components, starts, stops) if s < e]
+        if windows:
+            plans.append((min(starts), max(stops), windows))
+
+    intensity = np.zeros_like(grid)
+    tile = min(grid.size, _TILE_POINTS)
+    # reused by every line, and indexed like the current tile
+    band_buffer, scratch = np.empty(tile), np.empty(tile)
+    for t0 in range(0, grid.size, tile):
+        t1 = t0 + tile
+        for lo, hi, windows in plans:
+            if tile < grid.size:  # clip the line to this tile
+                lo, hi = max(lo, t0), min(hi, t1)
+                if lo >= hi:
+                    continue
+                windows = [
+                    (c, max(s, t0), min(e, t1)) for c, s, e in windows if s < t1 and e > t0
+                ]
+            # accumulate the full band per line over the union of its windows,
+            # then add: keeps synthesis bit-exactly linear in the line set
+            band_buffer[lo - t0:hi - t0] = 0.0
+            for (center, sigma, area), start, stop in windows:
+                band_buffer[start - t0:stop - t0] += _gaussian(
+                    grid[start:stop], center, sigma, area, scratch[start - t0:stop - t0]
+                )
+            intensity[lo:hi] += band_buffer[lo - t0:hi - t0]
     return Spectrum(grid, intensity, dict(metadata or {}), tuple(warnings))
 
 
@@ -297,7 +329,11 @@ def debye_waller(
     zpl_window: tuple[float, float],
     band_window: tuple[float, float],
 ) -> float:
-    """ZPL-window area over band-window area, by trapezoidal integration."""
+    """ZPL-window area over band-window area, by trapezoidal integration.
+
+    The spectrum's energies must be strictly ascending: each window is
+    the slice of grid points that lie inside it.
+    """
     import numpy as np
 
     zlo, zhi = zpl_window
@@ -305,14 +341,17 @@ def debye_waller(
     if not (blo <= zlo < zhi <= bhi):
         raise SpectrumError("ZPL window must lie inside the band window")
     grid = spectrum.energy_mev
+    if not (grid[1:] > grid[:-1]).all():
+        raise SpectrumError("spectrum energies must be strictly ascending")
     if grid.size == 0 or blo < grid[0] or bhi > grid[-1]:
         raise SpectrumError("band window exceeds the spectrum grid")
 
     def window_area(lo: float, hi: float) -> float:
-        mask = (grid >= lo) & (grid <= hi)
-        if mask.sum() < 2:
+        start = np.searchsorted(grid, lo, side="left")
+        stop = np.searchsorted(grid, hi, side="right")
+        if stop - start < 2:
             raise SpectrumError("window contains fewer than two grid points")
-        return float(np.trapezoid(spectrum.intensity[mask], grid[mask]))
+        return float(np.trapezoid(spectrum.intensity[start:stop], grid[start:stop]))
 
     band = window_area(blo, bhi)
     if band <= 0:

@@ -168,3 +168,32 @@ def band_spectrum(
             total += amp * math.exp(-0.5 * ((x - center) / sigma) ** 2)
         values.append(total)
     return np.array(values), peaks
+
+
+def serial_spectrum(excited, shapes, grid) -> np.ndarray:
+    """Spectrum synthesis in one pass over the whole grid per line.
+
+    Each line's band is built in a grid-sized buffer and then added to
+    the total.  It reuses the library's component and Gaussian helpers
+    on purpose: it pins the order of the operations at every grid point,
+    which tiled synthesis must follow bit for bit, while
+    ``band_spectrum`` pins the formula.
+    """
+    from sicpl.spectrum import TRUNCATION_SIGMAS, _gaussian, _line_components
+
+    intensity = np.zeros_like(grid)
+    band_buffer, scratch = np.empty_like(grid), np.empty_like(grid)
+    for line, eff in excited:
+        components = _line_components(line, eff, shapes)
+        centers = np.array([center for center, _, _ in components])
+        half_widths = TRUNCATION_SIGMAS * np.array([sigma for _, sigma, _ in components])
+        starts = np.searchsorted(grid, centers - half_widths, side="left")
+        stops = np.searchsorted(grid, centers + half_widths, side="right")
+        lo, hi = starts.min(), stops.max()
+        band_buffer[lo:hi] = 0.0
+        for (center, sigma, area), start, stop in zip(components, starts, stops):
+            band_buffer[start:stop] += _gaussian(
+                grid[start:stop], center, sigma, area, scratch[start:stop]
+            )
+        intensity[lo:hi] += band_buffer[lo:hi]
+    return intensity

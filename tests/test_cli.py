@@ -484,6 +484,24 @@ def test_debye_waller_on_empty_spectrum_exits_1(capsys, tmp_path):
     assert err == "error: band window exceeds the spectrum grid\n"
 
 
+def test_debye_waller_on_unsorted_spectrum_exits_1(capsys, tmp_path):
+    spec_file = tmp_path / "spec.tsv"
+    run(capsys, "spectrum", "4H", "VV", "--laser-nm", "1090", "--emin", "950",
+        "--emax", "1135", "--step", "0.05", "--out", str(spec_file))
+    rows = spec_file.read_text().splitlines()
+    header = [row for row in rows if row.startswith("#")]
+    data = [row for row in rows if not row.startswith("#")]
+    # swap the middle quarters: the end rows stay, so both windows still
+    # lie inside the first and last energies
+    q = len(data) // 4
+    data = data[:q] + data[2 * q:3 * q] + data[q:2 * q] + data[3 * q:]
+    spec_file.write_text("\n".join(header + data) + "\n")
+    code, out, err = run(capsys, "debye-waller", str(spec_file),
+                         "--zpl-window", "1114", "1124", "--band-window", "955", "1130")
+    assert (code, out) == (1, "")
+    assert err == "error: spectrum energies must be strictly ascending\n"
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as excinfo:

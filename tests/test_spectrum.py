@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sicpl import spectrum
 from sicpl.catalog import Defect, Geometry, Medium, Polytype, builtin_catalog
 from sicpl.spectrum import (
     AngularModel,
@@ -15,6 +17,7 @@ from sicpl.spectrum import (
     LaserMode,
     LineShapeParams,
     ScanPlane,
+    Spectrum,
     SpectrumError,
     TRUNCATION_SIGMAS,
     angular_scan,
@@ -28,7 +31,7 @@ from sicpl.spectrum import (
     fit_angular,
     synthesize_spectrum,
 )
-from oracles import band_spectrum
+from oracles import band_spectrum, serial_spectrum
 
 CAT = builtin_catalog()
 VV4H = CAT.lines_for(Polytype.FOUR_H, Defect.DIVACANCY)
@@ -193,12 +196,70 @@ class TestSynthesizeSpectrum:
             for k, (energy, eff) in enumerate(lines)
         ]
         grid = start + np.cumsum([0.0] + steps)
+        if dw < 1.0 and not any(weight > 0 for _, _, weight in sideband):
+            # nothing could carry the sideband's share of the band
+            with pytest.raises(SpectrumError):
+                LineShapeParams(zpl_fwhm, tuple(sideband), dw)
+            return
         shape = LineShapeParams(zpl_fwhm, tuple(sideband), dw)
         spec = synthesize_spectrum(excited, shape, grid)
         want, peaks = band_spectrum(grid, lines, zpl_fwhm, sideband, dw)
         tail = math.exp(-(TRUNCATION_SIGMAS ** 2) / 2.0)
         tolerance = (tail + 64 * np.finfo(float).eps) * peaks
         assert np.all(np.abs(spec.intensity - want) <= tolerance)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(st.floats(-200.0, 500.0), st.floats(0.0, 1.0)), max_size=5
+        ),
+        zpl_fwhm=st.floats(0.05, 5.0),
+        sideband=st.lists(
+            st.tuples(st.floats(-20.0, 150.0), st.floats(0.5, 40.0), st.floats(0.0, 1.0)),
+            max_size=3,
+        ),
+        dw=st.floats(0.01, 1.0),
+        steps=st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=300),
+    )
+    def test_tiles_match_serial_loop_bit_for_bit(self, lines, zpl_fwhm, sideband, dw, steps):
+        # line energies are offsets from the grid's first point: some
+        # lines and sideband windows fall off the grid, others span tiles
+        assume(dw == 1.0 or any(weight > 0 for _, _, weight in sideband))
+        shape = LineShapeParams(zpl_fwhm, tuple(sideband), dw)
+        pl1 = CAT.lookup(Polytype.FOUR_H, Defect.DIVACANCY, "PL1")
+        excited = [
+            (dataclasses.replace(pl1, label=f"L{k}", energy_mev=1000.0 + offset), eff)
+            for k, (offset, eff) in enumerate(lines)
+        ]
+        grid = 1000.0 + np.cumsum([0.0] + steps)
+        want = serial_spectrum(excited, shape, grid)
+        with pytest.MonkeyPatch.context() as patch:
+            for tile in (1, 2, 7, 64):
+                patch.setattr(spectrum, "_TILE_POINTS", tile)
+                got = synthesize_spectrum(excited, shape, grid).intensity
+                assert np.array_equal(got, want), f"tile of {tile} points"
+
+    def test_full_catalog_across_tiles_matches_serial_loop(self):
+        excited = excited_lines(CAT.lines_for(), laser(900, 30.0))
+        grid = np.linspace(820.0, 1160.0, 200_000)
+        assert grid.size > spectrum._TILE_POINTS and grid.size % spectrum._TILE_POINTS
+        shape = LineShapeParams()
+        got = synthesize_spectrum(excited, shape, grid).intensity
+        assert np.array_equal(got, serial_spectrum(excited, shape, grid))
+
+    def test_peak_allocation_stays_near_the_grid_size(self):
+        # the intensity is the only grid-sized array synthesis may keep;
+        # grid-sized line buffers would read 3x the grid's bytes
+        excited = excited_lines(CAT.lines_for(), laser(900, 30.0))
+        assert len(excited) == 20
+        grid = np.linspace(820.0, 1160.0, 1_000_000)
+        tracemalloc.start()
+        try:
+            synthesize_spectrum(excited, LineShapeParams(), grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * grid.nbytes
 
     def test_truncation_bound_below_half_ulp_of_peak(self):
         assert math.exp(-(TRUNCATION_SIGMAS ** 2) / 2.0) < 2.0 ** -53
@@ -226,6 +287,10 @@ class TestLineShapeParams:
             ((40.0, 20.0, math.inf),),
             ((math.nan, 20.0, 0.6),),
             ((math.inf, 20.0, 0.6),),
+            # no positive weight to carry 1 - debye_waller of the band
+            (),
+            ((40.0, 20.0, 0.0),),
+            ((40.0, 20.0, 0.0), (90.0, 30.0, 0.0)),
         ],
     )
     def test_bad_sideband_rejected(self, sideband):
@@ -240,6 +305,9 @@ class TestLineShapeParams:
     def test_zero_weight_sideband_accepted(self):
         shape = LineShapeParams(sideband=((40.0, 20.0, 0.0), (90.0, 30.0, 1.0)))
         assert shape.sideband[0][2] == 0.0
+
+    def test_pure_zpl_needs_no_sideband(self):
+        assert LineShapeParams(sideband=(), debye_waller=1.0).sideband == ()
 
 
 class TestDebyeWaller:
@@ -277,6 +345,13 @@ class TestDebyeWaller:
             debye_waller(spec, (900.0, 1200.0), band)
         with pytest.raises(SpectrumError):
             debye_waller(spec, zpl, (900.0, 1200.0))
+
+    @pytest.mark.parametrize("order", [[0, 2, 1, 3], [0, 1, 1, 3], [3, 2, 1, 0]])
+    def test_energies_not_strictly_ascending_rejected(self, order):
+        energy = np.array([1000.0, 1001.0, 1002.0, 1003.0])[order]
+        spec = Spectrum(energy, np.ones(4))
+        with pytest.raises(SpectrumError, match="strictly ascending"):
+            debye_waller(spec, (1000.5, 1001.5), (1000.0, 1003.0))
 
 
 class TestAngularModel:
