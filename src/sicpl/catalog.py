@@ -118,9 +118,6 @@ class ZplLine:
     def is_axial(self) -> bool:
         return self.geometry is Geometry.AXIAL
 
-    def point_group_name(self) -> str:
-        return "C3v" if self.is_axial else "C1h"
-
     def derived_energy_mev(self, medium: Medium = Medium.air()) -> float:
         return nm_to_mev(self.wavelength_nm, medium)
 

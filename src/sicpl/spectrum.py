@@ -10,11 +10,13 @@ averaging and axial/basal classification of emitters.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .catalog import Geometry, Medium, ZplLine, nm_to_mev
+from .selection import DefectClass, selection_table
 
 # numpy is imported inside the numeric kernels, not here: the symmetry
 # and catalog commands never need it, and it dominates their start-up.
@@ -22,6 +24,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 # angle convention: phi = 0 is E perpendicular to c, phi = 90 is E parallel to c
+# The C1h mirror plane contains c, so symmetry forbids neither polarization
+# for a basal line.  A dipole tilted theta from c has
+# B = (1 - 3 cos^2 theta) / (1 + cos^2 theta): the default 0.33 is a tilt
+# of about 63.3 degrees, and cos^2 theta = 0 gives the axial B = 1.
 DEFAULT_BASAL_MODULATION = 0.33
 DEFAULT_ZPL_FWHM_MEV = 1.0
 DEFAULT_AXIAL_B_THRESHOLD = 0.95
@@ -110,8 +116,7 @@ class AngularModel:
         return self.amplitude * (1.0 + self.modulation * cos2phi(phi_deg))
 
 
-@dataclass(frozen=True, slots=True)
-class AngularSample:
+class AngularSample(NamedTuple):
     phi_deg: float
     intensity: float
 
@@ -163,8 +168,9 @@ def excitation_efficiency(
 
     Non-resonant excitation requires the laser strictly above the ZPL
     (absorption goes into the sideband); resonant excitation requires a
-    hit within half a linewidth.  Axial lines have modulation 1 and
-    vanish exactly at phi = 90; the basal modulation must lie in [0, 1].
+    hit within half a linewidth.  Axial lines take their modulation from
+    the selection table: 1, so they vanish exactly at phi = 90.  Basal
+    lines take ``basal_modulation``, which must lie in [0, 1].
     """
     if not 0.0 <= basal_modulation <= 1.0:
         raise SpectrumError(f"basal modulation must lie in [0, 1], got {basal_modulation}")
@@ -176,8 +182,26 @@ def excitation_efficiency(
     else:
         if abs(laser.photon_energy_mev - line.energy_mev) > zpl_fwhm_mev / 2.0:
             return 0.0
-    b = 1.0 if line.geometry is Geometry.AXIAL else basal_modulation
-    return (1.0 + b * cos2phi(laser.polarizer_angle_deg)) / (1.0 + b)
+    b = _axial_modulation(laser.mode) if line.geometry is Geometry.AXIAL else basal_modulation
+    model = AngularModel(1.0, b)
+    return model.intensity(laser.polarizer_angle_deg) / model.intensity(0.0)
+
+
+@functools.cache
+def _axial_modulation(mode: LaserMode) -> float:
+    """Modulation B of an axial line, read from the triplet-axial selection table.
+
+    Resonant light is absorbed at the ZPL, non-resonant light through a
+    phonon.  When none of the E parallel c entries the mode reads is
+    allowed, the line cannot absorb at phi = 90, so B = 1.
+    """
+    row = selection_table(DefectClass.TRIPLET_AXIAL).symbols()["E_par_c"]
+    if "A" in (row[:1] if mode is LaserMode.RESONANT else row[1:]):
+        raise SpectrumError(
+            f"{mode.value} absorption of an axial line is allowed for E parallel to c; "
+            "its modulation does not follow from the selection table"
+        )
+    return 1.0
 
 
 def excited_lines(
@@ -276,11 +300,14 @@ def synthesize_spectrum(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise SpectrumError("energy grid must be a strictly ascending 1-d array")
-    steps = np.diff(grid)
-    if not (steps > 0).all():
+    # the grid steps borrow the intensity's first n - 1 slots, so checking
+    # the grid allocates no second grid-sized array; min() > 0 is False on NaN
+    intensity = np.empty_like(grid)
+    steps = np.subtract(grid[1:], grid[:-1], out=intensity[:-1])
+    if not steps.min() > 0:
         raise SpectrumError("energy grid must be a strictly ascending 1-d array")
     spacing = float(steps.max())
-    del steps  # a grid-sized array: free it before the bands are built
+    intensity.fill(0.0)
 
     # plan every line first: its components and their windows on the grid
     warnings, plans = [], []
@@ -299,7 +326,6 @@ def synthesize_spectrum(
         if windows:
             plans.append((min(starts), max(stops), windows))
 
-    intensity = np.zeros_like(grid)
     tile = min(grid.size, _TILE_POINTS)
     # reused by every line, and indexed like the current tile
     band_buffer, scratch = np.empty(tile), np.empty(tile)

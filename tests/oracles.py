@@ -138,6 +138,33 @@ def reduction_multiplicity(
     return acc / order
 
 
+def closed_form_efficiency(
+    energy_mev: float,
+    axial: bool,
+    photon_mev: float,
+    phi_deg: float,
+    resonant: bool,
+    basal_modulation: float,
+    zpl_fwhm_mev: float = 1.0,
+) -> float:
+    """Closed-form efficiency (1 + B cos 2 phi) / (1 + B), with B = 1 for axial lines.
+
+    Non-resonant light must lie strictly above the ZPL, resonant light
+    within half a linewidth of it.  It reuses the library's ``cos2phi``
+    on purpose, for its exact values at multiples of 45 degrees: the
+    library's efficiency must match this formula bit for bit.
+    """
+    from sicpl.spectrum import cos2phi
+
+    if resonant:
+        if abs(photon_mev - energy_mev) > zpl_fwhm_mev / 2.0:
+            return 0.0
+    elif photon_mev <= energy_mev:
+        return 0.0
+    b = 1.0 if axial else basal_modulation
+    return (1.0 + b * cos2phi(phi_deg)) / (1.0 + b)
+
+
 def band_spectrum(
     grid, lines, zpl_fwhm: float, sideband, debye_waller: float
 ) -> tuple[np.ndarray, float]:

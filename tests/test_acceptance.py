@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sicpl.catalog import Defect, Geometry, Medium, Polytype, builtin_catalog
+from sicpl.cli import main
 from sicpl.groups import (
     BUILTIN_GROUPS,
     builtin_group,
@@ -217,3 +218,23 @@ def test_criterion_10_debye_waller_round_trip():
         )
         assert measured == pytest.approx(dw, abs=1e-3)
     report(10, "Debye-Waller round trip")
+
+
+def test_criterion_11_selective_excitation_raises_the_debye_waller_factor(tmp_path, capsys):
+    # 1090 nm lies above PL1-PL3 and below PL4.  The ZPL window holds PL3's
+    # ZPL alone, the band window every excited band: at phi = 0 that is
+    # 0.3 of PL3 over three bands, at phi = 90 the axial PL1 and PL2
+    # vanish and PL3's own fraction 0.3 remains
+    for phi, lines, expected in (("0", "PL1,PL2,PL3", 0.100), ("90", "PL3", 0.300)):
+        path = tmp_path / f"phi{phi}.tsv"
+        assert main(["spectrum", "4H", "VV", "--laser-nm", "1090", "--phi", phi,
+                     "--emin", "950", "--emax", "1135", "--step", "0.05",
+                     "--out", str(path)]) == 0
+        assert f"# lines = {lines}\n" in path.read_text()
+        capsys.readouterr()
+        assert main(["debye-waller", str(path), "--zpl-window", "1114", "1124",
+                     "--band-window", "955", "1130"]) == 0
+        key, value = capsys.readouterr().out.split(" = ")
+        assert key == "debye_waller"
+        assert float(value) == pytest.approx(expected, abs=1e-3)
+    report(11, "selective excitation raises the measured Debye-Waller factor")

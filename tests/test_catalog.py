@@ -120,11 +120,6 @@ class TestBuiltinCatalog:
         for li in builtin_catalog().lines_for(geometry=Geometry.AXIAL):
             assert li.sites in along_c
 
-    def test_point_group_mapping(self):
-        for li in builtin_catalog().lines:
-            expected = "C3v" if li.geometry is Geometry.AXIAL else "C1h"
-            assert li.point_group_name() == expected
-
 
 class TestLinesFor:
     def test_axial_slices(self):

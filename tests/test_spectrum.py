@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sicpl import spectrum
 from sicpl.catalog import Defect, Geometry, Medium, Polytype, builtin_catalog
+from sicpl.selection import Policy, selection_table
 from sicpl.spectrum import (
     AngularModel,
     AngularSample,
@@ -31,7 +32,7 @@ from sicpl.spectrum import (
     fit_angular,
     synthesize_spectrum,
 )
-from oracles import band_spectrum, serial_spectrum
+from oracles import band_spectrum, closed_form_efficiency, serial_spectrum
 
 CAT = builtin_catalog()
 VV4H = CAT.lines_for(Polytype.FOUR_H, Defect.DIVACANCY)
@@ -99,6 +100,50 @@ class TestExcitationEfficiency:
         miss = LaserConfig(pl3.energy_mev + 0.6, 0.0, LaserMode.RESONANT)
         assert excitation_efficiency(pl3, hit, zpl_fwhm_mev=1.0) > 0.0
         assert excitation_efficiency(pl3, miss, zpl_fwhm_mev=1.0) == 0.0
+
+    def test_axial_vanishing_law_under_resonant_excitation(self):
+        for li in CAT.lines_for(geometry=Geometry.AXIAL):
+            at = lambda phi: LaserConfig(li.energy_mev, phi, LaserMode.RESONANT)
+            assert excitation_efficiency(li, at(90.0)) == 0.0
+            assert excitation_efficiency(li, at(0.0)) == 1.0
+
+    def test_axial_modulation_comes_from_the_selection_table(self, monkeypatch):
+        # without the physical rule the E-phonon entry of the E parallel c
+        # row is allowed, so non-resonant light has no axial modulation;
+        # the ZPL entry stays forbidden, so resonant light keeps B = 1
+        pl1 = CAT.lookup(Polytype.FOUR_H, Defect.DIVACANCY, "PL1")
+        monkeypatch.setattr(
+            spectrum, "selection_table",
+            lambda defect_class: selection_table(defect_class, Policy.GROUP_THEORY_ONLY),
+        )
+        spectrum._axial_modulation.cache_clear()
+        try:
+            with pytest.raises(SpectrumError, match="E parallel to c"):
+                excitation_efficiency(pl1, laser(930, 0.0))
+            resonant = LaserConfig(pl1.energy_mev, 90.0, LaserMode.RESONANT)
+            assert excitation_efficiency(pl1, resonant) == 0.0
+        finally:
+            spectrum._axial_modulation.cache_clear()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        line=st.sampled_from(CAT.lines),
+        mode=st.sampled_from(LaserMode),
+        phi=st.one_of(st.sampled_from([0.0, 45.0, 90.0, 135.0]),
+                      st.floats(0.0, 180.0, exclude_max=True)),
+        basal_modulation=st.floats(0.0, 1.0),
+        # near the line's ZPL, where both gates turn, or anywhere in the catalog's range
+        offset=st.one_of(st.floats(-1.0, 1.0), st.floats(-400.0, 400.0)),
+    )
+    def test_matches_closed_form_bit_for_bit(self, line, mode, phi, basal_modulation, offset):
+        photon = line.energy_mev + offset
+        assume(photon > 0.0)
+        got = excitation_efficiency(line, LaserConfig(photon, phi, mode), basal_modulation)
+        want = closed_form_efficiency(
+            line.energy_mev, line.geometry is Geometry.AXIAL, photon, phi,
+            mode is LaserMode.RESONANT, basal_modulation,
+        )
+        assert got == want
 
 
 class TestExcitedLines:
@@ -260,6 +305,19 @@ class TestSynthesizeSpectrum:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * grid.nbytes
+
+    def test_grid_check_allocates_no_second_grid(self):
+        # the steps of the grid are checked in the intensity's own buffer,
+        # so only the tile buffers come on top of the returned intensity
+        excited = excited_lines(CAT.lines_for(), laser(900, 30.0))
+        grid = np.linspace(820.0, 1160.0, 1_000_000)
+        tracemalloc.start()
+        try:
+            synthesize_spectrum(excited, LineShapeParams(), grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * grid.nbytes
 
     def test_truncation_bound_below_half_ulp_of_peak(self):
         assert math.exp(-(TRUNCATION_SIGMAS ** 2) / 2.0) < 2.0 ** -53
