@@ -41,6 +41,7 @@ from .selection import (
 from .spectrum import (
     AngularModel,
     AngularSample,
+    AngularScan,
     LaserConfig,
     LaserMode,
     LineShapeParams,

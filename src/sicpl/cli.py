@@ -104,7 +104,14 @@ def _arange(start: float, stop: float, step: float, flags: tuple[str, str]) -> n
             f"{flags[0]} {start:g} to {flags[1]} {stop:g} with --step {step:g} "
             f"would exceed {MAX_GRID_POINTS} points"
         )
-    return np.arange(start, stop + step / 2.0, step)
+    points = np.arange(start, stop + step / 2.0, step)
+    # a step below the float spacing near start rounds points together, or away
+    if points.size == 0 or not (points[1:] > points[:-1]).all():
+        raise SpectrumError(
+            f"--step {step:g} is below the float spacing near {flags[0]} {start:g}: "
+            "the points would not ascend"
+        )
+    return points
 
 
 def _add_laser_flags(parser: argparse.ArgumentParser) -> None:

@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 
 from .records import RecordReader, header_lines
-from .spectrum import AngularSample, Spectrum, SpectrumError
+from .spectrum import AngularScan, Spectrum, SpectrumError
 
 
 def write_spectrum(path: str | Path, spectrum: Spectrum) -> None:
@@ -64,15 +64,14 @@ def read_spectrum(path: str | Path) -> Spectrum:
 
 
 def write_angular_samples(
-    path: str | Path, samples: list[AngularSample], metadata: dict | None = None
+    path: str | Path, samples: AngularScan, metadata: dict | None = None
 ) -> None:
     lines = header_lines(metadata or {})
     lines.append("# columns: phi_deg intensity")
-    for s in samples:
-        lines.append(f"{s.phi_deg:.4f}\t{s.intensity:.9g}")
+    for phi, i in zip(samples.phi_deg.tolist(), samples.intensity.tolist()):
+        lines.append(f"{phi:.4f}\t{i:.9g}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_angular_samples(path: str | Path) -> list[AngularSample]:
-    phis, intensities = _columns(_reader(path))
-    return list(map(AngularSample, phis, intensities))
+def read_angular_samples(path: str | Path) -> AngularScan:
+    return AngularScan(*_columns(_reader(path)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -50,9 +51,11 @@ def cos2phi(phi_deg: float) -> float:
     """cos(2*phi) with exact values at multiples of 45 degrees.
 
     The axial-vanishing law requires an exact -1 at phi = 90, which
-    float radians would only approximate.
+    float radians would only approximate.  phi is reduced mod 180 before
+    it is doubled, so every finite angle has a finite cosine; wherever
+    2*phi is finite this equals (2*phi) mod 360 bit for bit.
     """
-    angle = (2.0 * phi_deg) % 360.0
+    angle = 2.0 * (phi_deg % 180.0)
     if angle in _EXACT_COS2PHI:
         return _EXACT_COS2PHI[angle]
     return math.cos(math.radians(angle))
@@ -62,8 +65,10 @@ def cos2phi_array(phi_deg: np.ndarray) -> np.ndarray:
     """Element-wise :func:`cos2phi`, with the same reduction and exact values."""
     import numpy as np
 
-    angle = np.remainder(2.0 * np.asarray(phi_deg, dtype=float), 360.0)
-    values = np.cos(np.radians(angle))
+    angle = np.remainder(np.asarray(phi_deg, dtype=float), 180.0)
+    angle *= 2.0
+    values = np.radians(angle)
+    np.cos(values, out=values)
     for exact_angle, value in _EXACT_COS2PHI.items():
         values[angle == exact_angle] = value
     return values
@@ -156,6 +161,29 @@ class Spectrum:
     intensity: np.ndarray
     metadata: dict = field(default_factory=dict, hash=False, compare=False)
     warnings: tuple[str, ...] = ()
+
+
+class AngularScan:
+    """Intensity against polarizer angle, held as two float64 arrays of one length.
+
+    Iterating yields one :class:`AngularSample` per angle, built only then.
+    """
+
+    __slots__ = ("phi_deg", "intensity")
+
+    def __init__(self, phi_deg, intensity) -> None:
+        import numpy as np
+
+        self.phi_deg = np.asarray(phi_deg, dtype=float)
+        self.intensity = np.asarray(intensity, dtype=float)
+        if self.phi_deg.ndim != 1 or self.phi_deg.shape != self.intensity.shape:
+            raise SpectrumError("a scan needs two 1-d arrays of one length")
+
+    def __len__(self) -> int:
+        return self.phi_deg.size
+
+    def __iter__(self) -> Iterator[AngularSample]:
+        return map(AngularSample, self.phi_deg.tolist(), self.intensity.tolist())
 
 
 def excitation_efficiency(
@@ -390,11 +418,12 @@ def angular_scan(
     phi_values: list[float] | np.ndarray,
     noise_sigma: float = 0.0,
     seed: int | None = None,
-) -> list[AngularSample]:
+) -> AngularScan:
     """Evaluate the cosine model, optionally with seeded Gaussian noise.
 
-    The noise is drawn in one call, which yields the same values as one
-    draw per sample in angle order.
+    The scan owns a copy of the angles.  The noise is drawn in one call,
+    which yields the same values as one draw per sample in angle order.
+    An intensity that overflows to a non-finite value is an error.
     """
     import numpy as np
 
@@ -402,14 +431,24 @@ def angular_scan(
         raise SpectrumError(f"noise sigma must be finite and non-negative, got {noise_sigma}")
     if seed is not None and seed < 0:
         raise SpectrumError(f"seed must be non-negative, got {seed}")
-    phis = np.asarray(phi_values, dtype=float)
-    values = model.amplitude * (1.0 + model.modulation * cos2phi_array(phis))
-    if noise_sigma > 0.0:
-        values += np.random.default_rng(seed).normal(0.0, noise_sigma, size=phis.size)
-    return list(map(AngularSample, phis.tolist(), values.tolist()))
+    phis = np.array(phi_values, dtype=float)
+    # amplitude * (1 + modulation * cos 2 phi), in place in the cosine buffer
+    values = cos2phi_array(phis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values *= model.modulation
+        values += 1.0
+        values *= model.amplitude
+        if noise_sigma > 0.0:
+            values += np.random.default_rng(seed).normal(0.0, noise_sigma, size=phis.size)
+    if not np.isfinite(values).all():
+        raise SpectrumError(
+            f"amplitude {model.amplitude:g} with noise sigma {noise_sigma:g} "
+            "gives a non-finite intensity"
+        )
+    return AngularScan(phis, values)
 
 
-def fit_angular(samples: list[AngularSample]) -> tuple[AngularModel, float]:
+def fit_angular(samples: AngularScan) -> tuple[AngularModel, float]:
     """Least-squares fit of I(phi) = A (1 + B cos 2 phi).
 
     Linear in (A, A*B) on the basis {1, cos 2 phi}; B is clamped into
@@ -419,8 +458,7 @@ def fit_angular(samples: list[AngularSample]) -> tuple[AngularModel, float]:
 
     if len(samples) < 3:
         raise DegenerateFitError("need at least 3 samples")
-    phis = np.fromiter((s.phi_deg for s in samples), float, len(samples))
-    intensities = np.fromiter((s.intensity for s in samples), float, len(samples))
+    phis, intensities = samples.phi_deg, samples.intensity
     if not (np.isfinite(phis).all() and np.isfinite(intensities).all()):
         raise DegenerateFitError("samples contain a non-finite angle or intensity")
     cos_vals = cos2phi_array(phis)

@@ -165,6 +165,23 @@ def closed_form_efficiency(
     return (1.0 + b * cos2phi(phi_deg)) / (1.0 + b)
 
 
+def scalar_scan(model, phis: list[float], noise_sigma: float, seed: int | None) -> list:
+    """An angular scan built one sample at a time: the scalar model, then one noise draw.
+
+    ``angular_scan`` must return exactly these samples, bit for bit.
+    """
+    from sicpl.spectrum import AngularSample
+
+    rng = np.random.default_rng(seed)
+    samples = []
+    for phi in phis:
+        intensity = model.intensity(phi)
+        if noise_sigma > 0.0:
+            intensity += float(rng.normal(0.0, noise_sigma))
+        samples.append(AngularSample(phi, intensity))
+    return samples
+
+
 def band_spectrum(
     grid, lines, zpl_fwhm: float, sideband, debye_waller: float
 ) -> tuple[np.ndarray, float]:

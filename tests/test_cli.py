@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -288,6 +290,17 @@ class TestAngularWorkflow:
         assert out == ""
         assert err.startswith("error:") and "non-finite" in err
 
+    def test_large_finite_angle_fits(self, capsys, tmp_path):
+        # 2 * 1e308 overflows: the angle must be reduced before it is doubled
+        scan_file = tmp_path / "scan.tsv"
+        scan_file.write_text("0 1\n30 2\n60 1.5\n1e308 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "fit-angle", str(scan_file), "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert all(math.isfinite(payload[k]) for k in ("amplitude", "modulation", "residual"))
+
     def test_malformed_row_reports_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("0.0\t1.0\nnonsense\n")
@@ -456,6 +469,30 @@ class TestBadInput:
         assert code == 1
         assert stdout == ""
         assert err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["angular-scan", "-A", "1e308", "-B", "1"], "non-finite intensity"),
+            (["angular-scan", "-A", "1", "-B", "0.5", "--noise", "1e308", "--seed", "3"],
+             "non-finite intensity"),
+            (["angular-scan", "-A", "1", "-B", "0.5", "--start", "1e17", "--stop", "1e17",
+              "--step", "1"], "--step 1 is below the float spacing near --start 1e+17"),
+            (["angular-scan", "-A", "1", "-B", "0.5", "--start", "1e17",
+              "--stop", "1.0000000000000002e17", "--step", "1"], "below the float spacing"),
+            (["spectrum", "4H", "VV", "--laser-nm", "930", "--emin", "1e17",
+              "--emax", "1.0000000000000002e17", "--step", "1"],
+             "--step 1 is below the float spacing near --emin 1e+17"),
+        ],
+    )
+    def test_overflow_or_step_below_float_spacing_exits_1(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "out.tsv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error:") and message in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

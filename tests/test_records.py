@@ -22,7 +22,7 @@ from sicpl.fileio import (
 )
 from sicpl.groups import GroupError, load_table
 from sicpl.records import RecordReader, header_lines
-from sicpl.spectrum import AngularSample, Spectrum, SpectrumError
+from sicpl.spectrum import AngularSample, AngularScan, Spectrum, SpectrumError
 
 LOCATED = re.compile(r": line \d+: ")
 
@@ -101,13 +101,15 @@ class TestTwoColumnFiles:
     def test_scan_round_trip(self, tmp_path):
         samples = [AngularSample(0.0, 2.0), AngularSample(45.5, 1.25)]
         path = tmp_path / "scan.tsv"
-        write_angular_samples(path, samples, {"seed": 7})
-        assert read_angular_samples(path) == samples
+        write_angular_samples(path, AngularScan([0.0, 45.5], [2.0, 1.25]), {"seed": 7})
+        assert list(read_angular_samples(path)) == samples
 
     def test_inline_comments_allowed(self, tmp_path):
         path = tmp_path / "scan.tsv"
         path.write_text("0 1  # first\n90 0.5#second\n")
-        assert read_angular_samples(path) == [AngularSample(0.0, 1.0), AngularSample(90.0, 0.5)]
+        assert list(read_angular_samples(path)) == [
+            AngularSample(0.0, 1.0), AngularSample(90.0, 0.5)
+        ]
 
     @pytest.mark.parametrize("reader", [read_spectrum, read_angular_samples])
     def test_binary_file_is_spectrum_error(self, tmp_path, reader):

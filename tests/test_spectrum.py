@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from sicpl.selection import Policy, selection_table
 from sicpl.spectrum import (
     AngularModel,
     AngularSample,
+    AngularScan,
     DegenerateFitError,
     LaserConfig,
     LaserMode,
@@ -32,7 +35,7 @@ from sicpl.spectrum import (
     fit_angular,
     synthesize_spectrum,
 )
-from oracles import band_spectrum, closed_form_efficiency, serial_spectrum
+from oracles import band_spectrum, closed_form_efficiency, scalar_scan, serial_spectrum
 
 CAT = builtin_catalog()
 VV4H = CAT.lines_for(Polytype.FOUR_H, Defect.DIVACANCY)
@@ -40,6 +43,10 @@ VV4H = CAT.lines_for(Polytype.FOUR_H, Defect.DIVACANCY)
 
 def laser(nm, phi, mode=LaserMode.NON_RESONANT):
     return LaserConfig.from_wavelength(nm, phi, Medium.air(), mode)
+
+
+def scan_of(samples):
+    return AngularScan([s.phi_deg for s in samples], [s.intensity for s in samples])
 
 
 class TestCos2Phi:
@@ -64,6 +71,22 @@ class TestCos2Phi:
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
     def test_array_matches_scalar(self, phis):
         self.assert_array_matches_scalar(phis)
+
+    def test_large_finite_angles_have_finite_cosines(self):
+        # doubling first would overflow 2 * phi to inf, and cos(inf) is NaN
+        phis = [1e308, -1e308, 1.7976931348623157e308, 9e307]
+        assert all(math.isfinite(cos2phi(phi)) for phi in phis)
+        self.assert_array_matches_scalar(phis)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_reduction_before_doubling_is_bitwise_the_same(self, phi):
+        assume(math.isfinite(2.0 * phi))
+        doubled_first = (2.0 * phi) % 360.0
+        reduced_first = 2.0 * (phi % 180.0)
+        assert struct.pack("<d", reduced_first) == struct.pack("<d", doubled_first)
+        want = spectrum._EXACT_COS2PHI.get(doubled_first, math.cos(math.radians(doubled_first)))
+        assert struct.pack("<d", cos2phi(phi)) == struct.pack("<d", want)
 
 
 class TestExcitationEfficiency:
@@ -474,6 +497,58 @@ class TestAngularScanAndFit:
         assert [s.phi_deg for s in samples] == phis.tolist()
         assert np.array([s.intensity for s in samples]).tobytes() == np.array(want).tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        amplitude=st.floats(min_value=0.0, max_value=1e3),
+        modulation=st.floats(min_value=-1.0, max_value=1.0),
+        phis=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+        noise_sigma=st.sampled_from([0.0, 1e-3, 0.5]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_scan_matches_scalar_reference(self, amplitude, modulation, phis, noise_sigma, seed):
+        model = AngularModel(amplitude, modulation)
+        want = scalar_scan(model, phis, noise_sigma, seed)
+        scan = angular_scan(model, np.array(phis), noise_sigma, seed)
+        assert list(scan) == want
+        assert np.array(list(scan)).tobytes() == np.array(want).tobytes()
+
+    def test_scan_owns_its_angles(self):
+        phis = np.linspace(0.0, 180.0, 12, endpoint=False)
+        scan = angular_scan(AngularModel(1.0, 0.5), phis)
+        want = list(scan)
+        phis[:] = 45.0
+        assert list(scan) == want
+        assert scan.phi_deg.tolist() == [15.0 * k for k in range(12)]
+
+    def test_scan_peak_memory_is_a_few_arrays(self):
+        # the angles, the intensities and the noise draw, not one object per sample
+        phis = np.linspace(0.0, 180.0, 100_000, endpoint=False)
+        tracemalloc.start()
+        try:
+            scan = angular_scan(AngularModel(1.7, 0.43), phis, noise_sigma=0.02, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scan) == phis.size
+        assert peak < 6 * phis.nbytes
+
+    @pytest.mark.parametrize(
+        "amplitude, noise_sigma, seed", [(1e308, 0.0, None), (1.0, 1e308, 3), (1.7e308, 1e307, 0)]
+    )
+    def test_non_finite_intensity_rejected_without_warning(self, amplitude, noise_sigma, seed):
+        # seed 3 draws a normal deviate above 1.8 among 12: 1e308 times it overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectrumError, match="non-finite intensity"):
+                angular_scan(AngularModel(amplitude, 1.0), list(range(0, 180, 15)),
+                             noise_sigma, seed)
+
+    def test_scan_rejects_arrays_of_different_shapes(self):
+        with pytest.raises(SpectrumError):
+            AngularScan([0.0, 45.0], [1.0])
+        with pytest.raises(SpectrumError):
+            AngularScan([[0.0]], [[1.0]])
+
     @pytest.mark.parametrize(
         "bad", [AngularSample(math.nan, 1.0), AngularSample(60.0, math.inf),
                 AngularSample(60.0, math.nan)]
@@ -481,27 +556,27 @@ class TestAngularScanAndFit:
     def test_non_finite_sample_rejected(self, bad):
         samples = [AngularSample(phi, 1.0) for phi in (0.0, 30.0, 90.0)] + [bad]
         with pytest.raises(DegenerateFitError):
-            fit_angular(samples)
+            fit_angular(scan_of(samples))
 
     def test_rank_deficient(self):
         samples = [AngularSample(0.0, 2.0)] * 5
         with pytest.raises(DegenerateFitError):
-            fit_angular(samples)
+            fit_angular(scan_of(samples))
         # phi and 180 - phi share cos 2 phi: still degenerate
         samples = [AngularSample(30.0, 1.5), AngularSample(150.0, 1.5), AngularSample(30.0, 1.5)]
         with pytest.raises(DegenerateFitError):
-            fit_angular(samples)
+            fit_angular(scan_of(samples))
 
     def test_too_few_samples(self):
         with pytest.raises(DegenerateFitError):
-            fit_angular([AngularSample(0.0, 1.0), AngularSample(45.0, 1.0)])
+            fit_angular(scan_of([AngularSample(0.0, 1.0), AngularSample(45.0, 1.0)]))
 
     def test_nonpositive_amplitude(self):
         samples = [
             AngularSample(phi, -1.0) for phi in (0.0, 30.0, 60.0, 90.0)
         ]
         with pytest.raises(DegenerateFitError):
-            fit_angular(samples)
+            fit_angular(scan_of(samples))
 
 
 class TestClassifyGeometry:
