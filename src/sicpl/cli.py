@@ -73,18 +73,13 @@ def _out_path(path: str) -> Path:
     return p
 
 
-def _medium(args) -> Medium:
-    if args.medium == "vacuum":
-        return Medium.vacuum()
-    return Medium.air(args.air_index)
-
-
 def _laser(args) -> LaserConfig:
     mode = LaserMode.RESONANT if getattr(args, "resonant", False) else LaserMode.NON_RESONANT
     if args.laser_mev is not None:
         return LaserConfig(args.laser_mev, args.phi, mode)
     if args.laser_nm is not None:
-        return LaserConfig.from_wavelength(args.laser_nm, args.phi, _medium(args), mode)
+        medium = Medium.air(args.air_index)
+        return LaserConfig.from_wavelength(args.laser_nm, args.phi, medium, mode)
     raise CatalogError("specify the laser with --laser-nm or --laser-mev")
 
 
@@ -115,11 +110,11 @@ def _arange(start: float, stop: float, step: float, flags: tuple[str, str]) -> n
 
 
 def _add_laser_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--laser-nm", type=float, help="laser wavelength in nm")
-    parser.add_argument("--laser-mev", type=float, help="laser photon energy in meV")
+    laser = parser.add_mutually_exclusive_group()
+    laser.add_argument("--laser-nm", type=float, help="laser wavelength in nm")
+    laser.add_argument("--laser-mev", type=float, help="laser photon energy in meV")
     parser.add_argument("--phi", type=float, default=0.0,
                         help="polarizer angle in degrees (0 = E perp c, 90 = E par c)")
-    parser.add_argument("--medium", choices=["air", "vacuum"], default="air")
     parser.add_argument("--air-index", type=float, default=DEFAULT_AIR_INDEX)
     parser.add_argument("--resonant", action="store_true",
                         help="resonant excitation (match within half a linewidth)")

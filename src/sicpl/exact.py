@@ -39,10 +39,6 @@ class GaussianRational:
     def scale(self, factor: int) -> "GaussianRational":
         return GaussianRational(self.re * factor, self.im * factor)
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __complex__(self) -> complex:
         return complex(self.re, self.im)
 
@@ -63,10 +59,6 @@ class GaussianRational:
 
 ZERO = GaussianRational()
 ONE = GaussianRational(1)
-
-
-def rational(value: int) -> GaussianRational:
-    return GaussianRational(value)
 
 
 def parse_scalar(text: str) -> GaussianRational:

@@ -13,16 +13,15 @@ import functools
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .exact import GaussianRational, ONE, ZERO, parse_scalar, rational
+from .exact import GaussianRational, ONE, ZERO, parse_scalar
 from .records import RecordReader
-
-BUILTIN_GROUPS = ("C3v", "C1h", "C3v_double")
 
 _DATA_FILES = {
     "C3v": "c3v.grp",
     "C1h": "c1h.grp",
     "C3v_double": "c3v_double.grp",
 }
+BUILTIN_GROUPS = tuple(_DATA_FILES)
 
 
 class GroupError(Exception):
@@ -119,18 +118,6 @@ class Multiplicities:
 
     def __getitem__(self, label: str) -> int:
         return self.counts.get(label, 0)
-
-    def to_rep(self) -> RepVector:
-        chars = [ZERO] * self.group.n_classes
-        for ir in self.group.irreps:
-            m = self[ir.label]
-            if m:
-                factor = rational(m)
-                chars = [c + chi * factor for c, chi in zip(chars, ir.characters)]
-        return RepVector(self.group, tuple(chars))
-
-    def total_dim(self) -> int:
-        return sum(m * self.group.irrep(lab).dim for lab, m in self.counts.items())
 
     def direct_sum_str(self) -> str:
         parts = []
@@ -230,7 +217,7 @@ class Check:
 def verify_table(table: PointGroupTable) -> list[Check]:
     """Run every structural invariant; failures are reported, not raised."""
     checks: list[Check] = []
-    g = rational(table.order)
+    g = GaussianRational(table.order)
 
     size_sum = sum(table.class_sizes)
     checks.append(
@@ -259,7 +246,7 @@ def verify_table(table: PointGroupTable) -> list[Check]:
     )
 
     for ir in table.irreps:
-        ok = ir.characters and ir.characters[0] == rational(ir.dim)
+        ok = ir.characters and ir.characters[0] == GaussianRational(ir.dim)
         checks.append(
             Check(
                 f"identity-character[{ir.label}]",

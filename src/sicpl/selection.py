@@ -98,19 +98,18 @@ class VerdictValue(enum.Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    value: VerdictValue
+    """A transition verdict; its symbol follows from the two flags."""
+
     group_theory_allowed: bool
     physical_coupling: bool
 
-    @staticmethod
-    def from_flags(group_theory_allowed: bool, physical_coupling: bool) -> "Verdict":
-        if not group_theory_allowed:
-            value = VerdictValue.FORBIDDEN
-        elif physical_coupling:
-            value = VerdictValue.ALLOWED
-        else:
-            value = VerdictValue.FORMALLY_ALLOWED_PHYSICALLY_FORBIDDEN
-        return Verdict(value, group_theory_allowed, physical_coupling)
+    @property
+    def value(self) -> VerdictValue:
+        if not self.group_theory_allowed:
+            return VerdictValue.FORBIDDEN
+        if self.physical_coupling:
+            return VerdictValue.ALLOWED
+        return VerdictValue.FORMALLY_ALLOWED_PHYSICALLY_FORBIDDEN
 
     @property
     def symbol(self) -> str:
@@ -181,7 +180,7 @@ def direct_verdict(q: TransitionQuery) -> Verdict:
     allowed = _matrix_element_allowed(
         q.group, q.initial, q.final, dipole_rep(q.group, q.polarization)
     )
-    return Verdict.from_flags(allowed, physical_coupling=True)
+    return Verdict(allowed, physical_coupling=True)
 
 
 def phonon_assisted_verdict(
@@ -196,16 +195,15 @@ def phonon_assisted_verdict(
     """
     if q.phonon is None:
         raise GroupError("phonon_assisted_verdict requires a phonon")
-    q.group.irrep(q.phonon.irrep_label)
     dip = dipole_rep(q.group, q.polarization)
     allowed = _matrix_element_allowed(q.group, q.initial, q.final, dip, q.phonon)
     if policy is Policy.GROUP_THEORY_ONLY:
-        return Verdict.from_flags(allowed, physical_coupling=True)
+        return Verdict(allowed, physical_coupling=True)
     direct_allowed = _matrix_element_allowed(q.group, q.initial, q.final, dip)
     coupling = direct_allowed or _pol_couples_to_axis(
         q.polarization, q.phonon.displacement_axis
     )
-    return Verdict.from_flags(allowed, coupling)
+    return Verdict(allowed, coupling)
 
 
 class KramersLevel(enum.Enum):
@@ -238,7 +236,7 @@ def kramers_verdict(
         for i in initial.sublevel_irreps
         for f in final.sublevel_irreps
     )
-    return Verdict.from_flags(allowed, physical_coupling=True)
+    return Verdict(allowed, physical_coupling=True)
 
 
 class DefectClass(enum.Enum):

@@ -268,7 +268,7 @@ def _gaussian(
     """Normalized Gaussian of the given area on ``x``, computed in place in ``out``."""
     import numpy as np
 
-    amp = area / (sigma * math.sqrt(2.0 * math.pi))
+    amp = _peak(area, sigma)
     np.subtract(x, center, out=out)
     out /= sigma
     np.square(out, out=out)
@@ -276,6 +276,11 @@ def _gaussian(
     np.exp(out, out=out)
     out *= amp
     return out
+
+
+def _peak(area, sigma):
+    """Peak height of a normalized Gaussian; takes floats or arrays."""
+    return area / (sigma * math.sqrt(2.0 * math.pi))
 
 
 def _line_components(
@@ -346,8 +351,16 @@ def synthesize_spectrum(
                 f"fwhm {shapes.zpl_fwhm_mev:g} meV"
             )
         components = _line_components(line, eff, shapes)
-        centers = np.array([center for center, _, _ in components])
-        half_widths = TRUNCATION_SIGMAS * np.array([sigma for _, sigma, _ in components])
+        centers, sigmas, areas = np.array(components).T
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            finite = np.isfinite(_peak(areas, sigmas))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise SpectrumError(
+                f"{line.label}: a Gaussian of sigma {sigmas[i]:g} meV and area "
+                f"{areas[i]:g} has a peak height beyond the float range"
+            )
+        half_widths = TRUNCATION_SIGMAS * sigmas
         starts = np.searchsorted(grid, centers - half_widths, side="left").tolist()
         stops = np.searchsorted(grid, centers + half_widths, side="right").tolist()
         windows = [(c, s, e) for c, s, e in zip(components, starts, stops) if s < e]
@@ -405,7 +418,11 @@ def debye_waller(
         stop = np.searchsorted(grid, hi, side="right")
         if stop - start < 2:
             raise SpectrumError("window contains fewer than two grid points")
-        return float(np.trapezoid(spectrum.intensity[start:stop], grid[start:stop]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            area = float(np.trapezoid(spectrum.intensity[start:stop], grid[start:stop]))
+        if not math.isfinite(area):
+            raise SpectrumError(f"window {lo:g} to {hi:g} meV has a non-finite area")
+        return area
 
     band = window_area(blo, bhi)
     if band <= 0:
@@ -465,15 +482,19 @@ def fit_angular(samples: AngularScan) -> tuple[AngularModel, float]:
     if np.ptp(np.round(cos_vals, 12)) == 0.0:
         raise DegenerateFitError("all samples share the same cos 2 phi; cannot fit")
     design = np.column_stack([np.ones_like(cos_vals), cos_vals])
-    coeffs, _, _, _ = np.linalg.lstsq(design, intensities, rcond=None)
-    a, ab = float(coeffs[0]), float(coeffs[1])
-    if a <= 0:
-        raise DegenerateFitError(f"fitted amplitude {a:g} is not positive")
-    b = min(1.0, max(-1.0, ab / a))
-    model = AngularModel(a, b)
-    residual = float(
-        np.linalg.norm(intensities - a * (1.0 + b * cos_vals))
-    )
+    # intensities near the float limit overflow; the residual check below catches it
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs, _, _, _ = np.linalg.lstsq(design, intensities, rcond=None)
+        a, ab = float(coeffs[0]), float(coeffs[1])
+        if a <= 0:
+            raise DegenerateFitError(f"fitted amplitude {a:g} is not positive")
+        b = min(1.0, max(-1.0, ab / a))
+        model = AngularModel(a, b)
+        residual = float(
+            np.linalg.norm(intensities - a * (1.0 + b * cos_vals))
+        )
+    if not math.isfinite(residual):
+        raise SpectrumError("the fit residual overflows: intensities are too large to fit")
     return model, residual
 
 
@@ -507,12 +528,10 @@ def classify_geometry(
     return Geometry.BASAL if floor / peak <= DEFAULT_VANISH_RATIO else Geometry.AXIAL
 
 
-def ensemble_average(single: AngularModel, n_orientations: int = 3) -> AngularModel:
-    """Average a single-defect response over equivalent in-plane orientations.
+def ensemble_average(single: AngularModel) -> AngularModel:
+    """Average a single-defect response over its three in-plane orientations.
 
     The three defect-axis orientations 120 degrees apart cancel the
     cos 2 phi term identically, so the ensemble is isotropic.
     """
-    if n_orientations != 3:
-        raise SpectrumError("only the three-fold orientation average is defined")
     return AngularModel(single.amplitude, 0.0)

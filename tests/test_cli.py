@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from sicpl.catalog import DEFAULT_AIR_INDEX, HC_MEV_NM
 from sicpl.cli import main
 from sicpl.fileio import read_spectrum
 
@@ -196,6 +197,12 @@ class TestExcite:
         assert code == 1
         assert "laser" in err
 
+    def test_both_laser_flags_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["excite", "4H", "VV", "--laser-nm", "1090", "--laser-mev", "1000"])
+        assert excinfo.value.code == 2
+        assert "not allowed with argument --laser-nm" in capsys.readouterr().err
+
 
 class TestSpectrumCommand:
     def test_selective_spectrum_zero_at_pl4(self, capsys, tmp_path):
@@ -222,6 +229,25 @@ class TestSpectrumCommand:
         header = out_file.read_text()
         for key in ("basal_b", "zpl_fwhm_mev", "debye_waller", "air_index", "phi_deg"):
             assert key in header
+
+    @pytest.mark.parametrize("index_flag", [[], ["--air-index", "1"]])
+    def test_header_reproduces_laser_conversion(self, capsys, tmp_path, index_flag):
+        out_file = tmp_path / "s.tsv"
+        code, _, _ = run(
+            capsys, "spectrum", "4H", "VV", "--laser-nm", "930", *index_flag,
+            "--emin", "1080", "--emax", "1090", "--out", str(out_file),
+        )
+        assert code == 0
+        meta = read_spectrum(out_file).metadata
+        index = float(meta["air_index"])
+        assert index == (1.0 if index_flag else DEFAULT_AIR_INDEX)
+        assert meta["laser_mev"] == f"{HC_MEV_NM / (index * 930.0):.4f}"
+
+    def test_medium_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["spectrum", "4H", "VV", "--laser-nm", "930", "--medium", "vacuum",
+                  "--emin", "1080", "--emax", "1090", "--out", str(tmp_path / "s.tsv")])
+        assert excinfo.value.code == 2
 
     def test_empty_line_set_still_valid_file(self, capsys, tmp_path):
         out_file = tmp_path / "empty.tsv"
@@ -484,6 +510,10 @@ class TestBadInput:
             (["spectrum", "4H", "VV", "--laser-nm", "930", "--emin", "1e17",
               "--emax", "1.0000000000000002e17", "--step", "1"],
              "--step 1 is below the float spacing near --emin 1e+17"),
+            (["spectrum", "4H", "VV", "--laser-nm", "930", "--emin", "1095", "--emax", "1097",
+              "--step", "0.5", "--zpl-fwhm", "1e-320"], "peak height beyond the float range"),
+            (["spectrum", "4H", "VV", "--laser-nm", "930", "--emin", "1095", "--emax", "1097",
+              "--step", "0.5", "--zpl-fwhm", "5e-324"], "sigma 0 meV"),
         ],
     )
     def test_overflow_or_step_below_float_spacing_exits_1(self, capsys, tmp_path, argv, message):
@@ -494,6 +524,27 @@ class TestBadInput:
         assert (code, stdout) == (1, "")
         assert err.startswith("error:") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, rows, message",
+        [
+            (["fit-angle", "{file}", "--format", "json"],
+             "0 1.7e308\n30 1e308\n60 1.5e308\n90 1e308\n", "fit residual overflows"),
+            (["debye-waller", "{file}", "--zpl-window", "1001", "1003",
+              "--band-window", "1000", "1004"],
+             "1000 0\n1001 1e308\n1002 1.7e308\n1003 1e308\n1004 0\n",
+             "window 1000 to 1004 meV has a non-finite area"),
+        ],
+        ids=["fit-angle", "debye-waller"],
+    )
+    def test_overflowing_file_exits_1(self, capsys, tmp_path, command, rows, message):
+        data = tmp_path / "data.tsv"
+        data.write_text(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, *[a.format(file=data) for a in command])
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error:") and message in err
 
     @pytest.mark.parametrize(
         "command, rows",

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from sicpl.groups import GroupError, builtin_group, decompose
+from sicpl.groups import GroupError, UnknownGroupError, builtin_group, decompose
 from sicpl.selection import (
     DefectClass,
     DisplacementAxis,
@@ -130,6 +130,14 @@ class TestPhononAssistedVerdict:
         with pytest.raises(GroupError):
             phonon_assisted_verdict(TransitionQuery(g, "A2", "E", PAR))
 
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_unknown_phonon_label(self, policy):
+        g = builtin_group("C1h")
+        phonon = PhononMode("E", DisplacementAxis.IN_BASAL_PLANE)
+        q = TransitionQuery(g, "A'", "A''", PAR, phonon)
+        with pytest.raises(UnknownGroupError, match="group C1h has no irrep 'E'"):
+            phonon_assisted_verdict(q, policy)
+
 
 class TestVerdictConsistency:
     def test_flags_determine_value_exhaustively(self):
@@ -245,9 +253,9 @@ class TestSelectionTable:
 
 class TestVerdictFlags:
     def test_from_flags(self):
-        assert Verdict.from_flags(False, True).value is VerdictValue.FORBIDDEN
-        assert Verdict.from_flags(True, True).value is VerdictValue.ALLOWED
+        assert Verdict(False, True).value is VerdictValue.FORBIDDEN
+        assert Verdict(True, True).value is VerdictValue.ALLOWED
         assert (
-            Verdict.from_flags(True, False).value
+            Verdict(True, False).value
             is VerdictValue.FORMALLY_ALLOWED_PHYSICALLY_FORBIDDEN
         )

@@ -614,7 +614,3 @@ class TestEnsembleAverage:
         single = lambda phi, phi0: 1.0 + 1.0 * np.cos(np.radians(2 * (phi - phi0)))
         total = sum(single(phis, phi0) for phi0 in (0.0, 120.0, 240.0)) / 3.0
         assert np.max(total) - np.min(total) < 1e-12
-
-    def test_only_threefold_defined(self):
-        with pytest.raises(SpectrumError):
-            ensemble_average(AngularModel(1.0, 0.5), n_orientations=4)
