@@ -322,8 +322,9 @@ def synthesize_spectrum(
     spectrum of a union of lines equals the sum of their separate
     spectra.
 
-    Every line is planned first; the grid is then walked in tiles of
-    _TILE_POINTS points, each line clipped to the tile.  Every grid
+    Every line is planned first, and a component whose peak height is
+    not a finite float is an error there.  The grid is then walked in
+    tiles of _TILE_POINTS points, each line clipped to the tile.  Every grid
     point goes through the same operations in the same order as in one
     pass over the whole grid, so the tile size changes no bit of the
     result.
@@ -399,7 +400,8 @@ def debye_waller(
     """ZPL-window area over band-window area, by trapezoidal integration.
 
     The spectrum's energies must be strictly ascending: each window is
-    the slice of grid points that lie inside it.
+    the slice of grid points that lie inside it.  A window area that
+    overflows is an error.
     """
     import numpy as np
 
@@ -469,7 +471,8 @@ def fit_angular(samples: AngularScan) -> tuple[AngularModel, float]:
     """Least-squares fit of I(phi) = A (1 + B cos 2 phi).
 
     Linear in (A, A*B) on the basis {1, cos 2 phi}; B is clamped into
-    [-1, 1] so noisy near-axial data still yields a valid model.
+    [-1, 1] so noisy near-axial data still yields a valid model.  A
+    residual that overflows is an error.
     """
     import numpy as np
 
