@@ -11,11 +11,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
-from .records import RecordReader
+from .records import Checked, RecordReader
 
 HC_EV_NM = 1239.84198  # h*c in eV*nm
 HC_MEV_NM = HC_EV_NM * 1000.0
@@ -30,11 +30,14 @@ class CatalogError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Medium:
+class _MediumFields(NamedTuple):
     refractive_index: float
 
-    def __post_init__(self):
+
+class Medium(Checked, _MediumFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not (math.isfinite(self.refractive_index) and self.refractive_index >= 1.0):
             raise CatalogError(
                 f"refractive index must be finite and >= 1, got {self.refractive_index}"
@@ -99,8 +102,7 @@ def parse_sites(text: str) -> tuple[str, str]:
     return tuple(sites)
 
 
-@dataclass(frozen=True)
-class ZplLine:
+class _ZplLineFields(NamedTuple):
     label: str
     polytype: Polytype
     defect: Defect
@@ -110,7 +112,11 @@ class ZplLine:
     sites: tuple[str, str]
     provenance: str = ""
 
-    def __post_init__(self):
+
+class ZplLine(Checked, _ZplLineFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         _require_positive(self.wavelength_nm, "wavelength")
         _require_positive(self.energy_mev, "energy")
 
@@ -122,8 +128,7 @@ class ZplLine:
         return nm_to_mev(self.wavelength_nm, medium)
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     lines: tuple[ZplLine, ...]
 
     def lookup(self, polytype: Polytype, defect: Defect, label: str) -> ZplLine:

@@ -9,20 +9,31 @@ classes), and plain ``int`` arithmetic keeps every character sum exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import FrozenSlots
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(FrozenSlots):
     """Complex number with integer real and imaginary parts.
 
     The name stays, though the parts are integers, because the benchmark
     tracer counts ``__add__``, ``__mul__``, ``scale`` and ``conjugate``
-    through this class by name.
+    through this class by name.  It is a scalar, not a tuple: it equals
+    only another GaussianRational and has no ordering.
     """
 
-    re: int = 0
-    im: int = 0
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int = 0, im: int = 0) -> None:
+        _set_re(self, re)
+        _set_im(self, im)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.re == other.re and self.im == other.im
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -56,6 +67,11 @@ class GaussianRational:
         imag = "i" if mag == 1 else f"{mag}i"
         return f"{self.re}{sign}{imag}"
 
+
+# The slots' own setters: construction is the hot path of every character
+# sum, and these skip the attribute lookup of object.__setattr__.
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
 
 ZERO = GaussianRational()
 ONE = GaussianRational(1)

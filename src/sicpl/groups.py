@@ -10,11 +10,11 @@ relations before use.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from .exact import GaussianRational, ONE, ZERO, parse_scalar
-from .records import RecordReader
+from .records import Checked, FrozenSlots, RecordReader
 
 _DATA_FILES = {
     "C3v": "c3v.grp",
@@ -44,8 +44,7 @@ class TableFormatError(GroupError):
     pass
 
 
-@dataclass(frozen=True)
-class Irrep:
+class Irrep(NamedTuple):
     label: str
     dim: int
     kind: str  # "single" or "extra" (double-group representation)
@@ -56,8 +55,7 @@ class Irrep:
         return all(c == ONE for c in self.characters)
 
 
-@dataclass(frozen=True)
-class PointGroupTable:
+class PointGroupTable(NamedTuple):
     name: str
     order: int
     class_labels: tuple[str, ...]
@@ -91,14 +89,17 @@ class PointGroupTable:
         return RepVector(self, self.irrep(label).characters)
 
 
-@dataclass(frozen=True)
-class RepVector:
-    """A (possibly reducible) representation as an exact class function."""
-
+class _RepVectorFields(NamedTuple):
     group: PointGroupTable
     characters: tuple[GaussianRational, ...]
 
-    def __post_init__(self):
+
+class RepVector(Checked, _RepVectorFields):
+    """A (possibly reducible) representation as an exact class function."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if len(self.characters) != self.group.n_classes:
             raise GroupError(
                 f"character vector has {len(self.characters)} entries, "
@@ -109,12 +110,26 @@ class RepVector:
         return RepVector(self.group, tuple(c.conjugate() for c in self.characters))
 
 
-@dataclass(frozen=True)
-class Multiplicities:
-    """Decomposition of a representation into irrep multiplicities."""
+class Multiplicities(FrozenSlots):
+    """Decomposition of a representation into irrep multiplicities.
 
-    group: PointGroupTable
-    counts: dict[str, int] = field(hash=False)
+    A slots class, not a tuple, so that ``m[label]`` reads a multiplicity.
+    """
+
+    __slots__ = ("group", "counts")
+
+    def __init__(self, group: PointGroupTable, counts: dict[str, int]) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "counts", counts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.group, self.counts) == (other.group, other.counts)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # the counts are a dict, so only the group is hashed
+        return hash((self.group,))
 
     def __getitem__(self, label: str) -> int:
         return self.counts.get(label, 0)
@@ -149,6 +164,8 @@ def _parse_table_text(text: str) -> PointGroupTable:
                 class_sizes.append(_positive_int(tokens[2], "class size"))
             elif key == "irrep":
                 label, dim, kind = tokens[1], _positive_int(tokens[2], "dimension"), tokens[3]
+                if kind not in ("single", "extra"):
+                    raise ValueError(f"irrep kind {kind!r} is neither 'single' nor 'extra'")
                 if any(ir.label == label for _, ir in irreps):
                     raise ValueError(f"irrep label {label!r} is repeated")
                 chars = tuple(parse_scalar(t) for t in tokens[4:])
@@ -207,8 +224,7 @@ def builtin_group(name: str) -> PointGroupTable:
     return load_table(text)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

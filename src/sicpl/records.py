@@ -11,6 +11,12 @@ files share one syntax:
 
 Each format converts its own tokens and reports a bad record with
 :meth:`RecordReader.locate`, as ``<source>: line N: message``.
+
+Every sicpl record is immutable.  Most are ``typing.NamedTuple`` classes;
+this module also holds the two bases of the rest: :class:`FrozenSlots`
+for a record that must not be a tuple, and :class:`Checked` for a
+NamedTuple whose fields are validated.  No sicpl command imports
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -65,3 +71,52 @@ def header_lines(header: Mapping[str, object], warnings: Iterable[str] = ()) -> 
     lines = [f"# {key} = {value}" for key, value in header.items()]
     lines.extend(f"# {_WARNING} {warning}" for warning in warnings)
     return lines
+
+
+class FrozenSlots:
+    """Base of an immutable record whose fields are its ``__slots__``.
+
+    A subclass names its fields in ``__slots__`` and sets them in
+    ``__init__`` through ``object.__setattr__``; any later assignment or
+    deletion raises AttributeError.  The repr is ``Name(field=value, ...)``,
+    and a copy or pickle is rebuilt through the constructor, with the fields
+    in slot order.  Equality and hashing are the subclass's choice.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Checked:
+    """Mixin that validates a NamedTuple record every time one is built.
+
+    A record lists it before the NamedTuple holding its fields, as
+    ``class Name(Checked, _NameFields)`` with ``__slots__ = ()``, and
+    defines ``_check``, which raises on an invalid field.  The constructor,
+    ``_make`` and ``_replace`` all run it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        self = super()._make(iterable)
+        self._check()
+        return self

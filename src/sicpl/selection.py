@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import (
     GroupError,
@@ -30,8 +30,7 @@ class PolarizationKind(enum.Enum):
     IN_PLANE_ANGLE = "in_plane_angle"
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(NamedTuple):
     """Electric-field direction of the light relative to the crystal c-axis.
 
     ``in_plane(azimuth)`` measures the basal-plane angle from the defect
@@ -68,8 +67,7 @@ _C3V_PHONON_AXES = {
 }
 
 
-@dataclass(frozen=True)
-class PhononMode:
+class PhononMode(NamedTuple):
     irrep_label: str
     displacement_axis: DisplacementAxis
 
@@ -81,8 +79,7 @@ class PhononMode:
             raise GroupError(f"C3v has no phonon irrep {irrep_label!r}") from None
 
 
-@dataclass(frozen=True)
-class TransitionQuery:
+class TransitionQuery(NamedTuple):
     group: PointGroupTable
     initial: str
     final: str
@@ -96,8 +93,7 @@ class VerdictValue(enum.Enum):
     FORMALLY_ALLOWED_PHYSICALLY_FORBIDDEN = "A*"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """A transition verdict; its symbol follows from the two flags."""
 
     group_theory_allowed: bool
@@ -252,8 +248,7 @@ _DEFECT_STATES = {
 PHONON_COLUMNS = ("A1", "A2", "E")
 
 
-@dataclass(frozen=True)
-class SelectionTable:
+class SelectionTable(NamedTuple):
     """Two polarization rows by (ZPL, A1, A2, E) columns of verdicts."""
 
     defect_class: DefectClass

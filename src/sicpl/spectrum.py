@@ -13,10 +13,10 @@ import enum
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from .catalog import Geometry, Medium, ZplLine, nm_to_mev
+from .records import Checked, FrozenSlots
 from .selection import DefectClass, selection_table
 
 # numpy is imported inside the numeric kernels, not here: the symmetry
@@ -79,13 +79,16 @@ class LaserMode(enum.Enum):
     RESONANT = "resonant"
 
 
-@dataclass(frozen=True)
-class LaserConfig:
+class _LaserConfigFields(NamedTuple):
     photon_energy_mev: float
     polarizer_angle_deg: float  # phi, in [0, 180)
     mode: LaserMode = LaserMode.NON_RESONANT
 
-    def __post_init__(self):
+
+class LaserConfig(Checked, _LaserConfigFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not (math.isfinite(self.photon_energy_mev) and self.photon_energy_mev > 0):
             raise SpectrumError(
                 f"photon energy must be finite and positive, got {self.photon_energy_mev}"
@@ -104,14 +107,17 @@ class LaserConfig:
         return cls(nm_to_mev(wavelength_nm, medium), polarizer_angle_deg, mode)
 
 
-@dataclass(frozen=True)
-class AngularModel:
-    """I(phi) = amplitude * (1 + modulation * cos 2 phi)."""
-
+class _AngularModelFields(NamedTuple):
     amplitude: float
     modulation: float
 
-    def __post_init__(self):
+
+class AngularModel(Checked, _AngularModelFields):
+    """I(phi) = amplitude * (1 + modulation * cos 2 phi)."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
             raise SpectrumError(f"amplitude must be finite and non-negative, got {self.amplitude}")
         if not abs(self.modulation) <= 1.0:
@@ -126,8 +132,7 @@ class AngularSample(NamedTuple):
     intensity: float
 
 
-@dataclass(frozen=True)
-class LineShapeParams:
+class _LineShapeParamsFields(NamedTuple):
     zpl_fwhm_mev: float = DEFAULT_ZPL_FWHM_MEV
     # (red-shift offset from the ZPL in meV, fwhm in meV, relative weight)
     sideband: tuple[tuple[float, float, float], ...] = (
@@ -136,7 +141,11 @@ class LineShapeParams:
     )
     debye_waller: float = 0.3
 
-    def __post_init__(self):
+
+class LineShapeParams(Checked, _LineShapeParamsFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not 0.0 < self.debye_waller <= 1.0:
             raise SpectrumError("Debye-Waller fraction must lie in (0, 1]")
         if not (math.isfinite(self.zpl_fwhm_mev) and self.zpl_fwhm_mev > 0):
@@ -155,12 +164,26 @@ class LineShapeParams:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    energy_mev: np.ndarray
-    intensity: np.ndarray
-    metadata: dict = field(default_factory=dict, hash=False, compare=False)
-    warnings: tuple[str, ...] = ()
+class Spectrum(FrozenSlots):
+    """Intensity on an energy grid, with its header metadata and warnings.
+
+    A slots class, not a tuple: a spectrum equals only itself, so no
+    comparison ever touches its arrays.
+    """
+
+    __slots__ = ("energy_mev", "intensity", "metadata", "warnings")
+
+    def __init__(
+        self,
+        energy_mev: np.ndarray,
+        intensity: np.ndarray,
+        metadata: dict | None = None,
+        warnings: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "energy_mev", energy_mev)
+        object.__setattr__(self, "intensity", intensity)
+        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
+        object.__setattr__(self, "warnings", warnings)
 
 
 class AngularScan:
@@ -401,7 +424,9 @@ def debye_waller(
 
     The spectrum's energies must be strictly ascending: each window is
     the slice of grid points that lie inside it.  A window area that
-    overflows is an error.
+    overflows is an error, and so is a negative intensity inside the band
+    window, which would make the fraction meaningless; outside the
+    windows, background-subtracted data may dip below zero.
     """
     import numpy as np
 
@@ -420,8 +445,11 @@ def debye_waller(
         stop = np.searchsorted(grid, hi, side="right")
         if stop - start < 2:
             raise SpectrumError("window contains fewer than two grid points")
+        values = spectrum.intensity[start:stop]
+        if values.min() < 0:
+            raise SpectrumError(f"window {lo:g} to {hi:g} meV holds a negative intensity")
         with np.errstate(over="ignore", invalid="ignore"):
-            area = float(np.trapezoid(spectrum.intensity[start:stop], grid[start:stop]))
+            area = float(np.trapezoid(values, grid[start:stop]))
         if not math.isfinite(area):
             raise SpectrumError(f"window {lo:g} to {hi:g} meV has a non-finite area")
         return area

@@ -572,6 +572,24 @@ def test_debye_waller_on_empty_spectrum_exits_1(capsys, tmp_path):
     assert err == "error: band window exceeds the spectrum grid\n"
 
 
+def test_debye_waller_on_negative_band_intensity_exits_1(capsys, tmp_path):
+    # the ZPL window holds only positive rows, so the ratio would read 3
+    spec_file = tmp_path / "spec.tsv"
+    spec_file.write_text("1000 -3\n1001 1\n1002 2\n1003 1\n1004 -3\n")
+    code, out, err = run(capsys, "debye-waller", str(spec_file),
+                         "--zpl-window", "1001", "1003", "--band-window", "1000", "1004")
+    assert (code, out) == (1, "")
+    assert err == "error: window 1000 to 1004 meV holds a negative intensity\n"
+
+
+def test_negative_intensity_outside_the_windows_is_accepted(capsys, tmp_path):
+    spec_file = tmp_path / "spec.tsv"
+    spec_file.write_text("999 -3\n1000 0\n1001 1\n1002 4\n1003 1\n1004 0\n1005 -3\n")
+    code, out, _ = run(capsys, "debye-waller", str(spec_file),
+                       "--zpl-window", "1001", "1003", "--band-window", "1000", "1004")
+    assert (code, out) == (0, "debye_waller = 0.833333\n")
+
+
 def test_debye_waller_on_unsorted_spectrum_exits_1(capsys, tmp_path):
     spec_file = tmp_path / "spec.tsv"
     run(capsys, "spectrum", "4H", "VV", "--laser-nm", "1090", "--emin", "950",

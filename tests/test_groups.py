@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -357,6 +356,7 @@ class TestTableFormat:
             (8, "irrep E 2 single 2 -1/2 0"),
             (7, "irrep A2 1 single 1 1 -1e0"),
             (4, "class 2C3"),
+            (6, "irrep A1 1 bogus 1 1 1"),
         ],
     )
     def test_bad_field_is_table_format_error_at_its_line(self, lineno, bad):
@@ -374,6 +374,6 @@ class TestTableFormat:
             load_table("\n".join(lines))
 
     def test_zero_class_size_fails_verification_without_raising(self):
-        broken = dataclasses.replace(builtin_group("C3v"), class_sizes=(1, 0, 3))
+        broken = builtin_group("C3v")._replace(class_sizes=(1, 0, 3))
         failed = {c.name for c in verify_table(broken) if not c.passed}
         assert {"class-size-sum", "column-orthogonality"} <= failed

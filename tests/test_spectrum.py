@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import struct
 import tracemalloc
@@ -260,7 +259,7 @@ class TestSynthesizeSpectrum:
         # many lines lie off the grid altogether
         pl1 = CAT.lookup(Polytype.FOUR_H, Defect.DIVACANCY, "PL1")
         excited = [
-            (dataclasses.replace(pl1, label=f"L{k}", energy_mev=energy), eff)
+            (pl1._replace(label=f"L{k}", energy_mev=energy), eff)
             for k, (energy, eff) in enumerate(lines)
         ]
         grid = start + np.cumsum([0.0] + steps)
@@ -296,7 +295,7 @@ class TestSynthesizeSpectrum:
         shape = LineShapeParams(zpl_fwhm, tuple(sideband), dw)
         pl1 = CAT.lookup(Polytype.FOUR_H, Defect.DIVACANCY, "PL1")
         excited = [
-            (dataclasses.replace(pl1, label=f"L{k}", energy_mev=1000.0 + offset), eff)
+            (pl1._replace(label=f"L{k}", energy_mev=1000.0 + offset), eff)
             for k, (offset, eff) in enumerate(lines)
         ]
         grid = 1000.0 + np.cumsum([0.0] + steps)
