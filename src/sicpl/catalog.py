@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .records import Checked, RecordReader
+from .records import Checked, RecordReader, read_records
 
 HC_EV_NM = 1239.84198  # h*c in eV*nm
 HC_MEV_NM = HC_EV_NM * 1000.0
@@ -189,9 +189,16 @@ def parse_catalog(text: str, source: str = "catalog") -> Catalog:
     A bad record or duplicate label is a CatalogError located as
     ``<source>: line N:``.
     """
+    return _read_catalog(RecordReader(text, source))
+
+
+def load_catalog(path: str | Path) -> Catalog:
+    return _read_catalog(read_records(path, CatalogError))
+
+
+def _read_catalog(reader: RecordReader) -> Catalog:
     lines = []
     seen: set[tuple[Polytype, Defect, str]] = set()
-    reader = RecordReader(text, source)
     for lineno, tokens in reader:
         try:
             line = _parse_record(tokens)
@@ -203,10 +210,6 @@ def parse_catalog(text: str, source: str = "catalog") -> Catalog:
         seen.add(key)
         lines.append(line)
     return Catalog(tuple(lines))
-
-
-def load_catalog(path: str | Path) -> Catalog:
-    return parse_catalog(Path(path).read_text(), source=str(path))
 
 
 def format_catalog(catalog: Catalog) -> str:

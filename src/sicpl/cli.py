@@ -36,6 +36,7 @@ from .spectrum import (
     AngularModel,
     DEFAULT_BASAL_MODULATION,
     DEFAULT_AXIAL_B_THRESHOLD,
+    DEFAULT_DEBYE_WALLER,
     DEFAULT_ZPL_FWHM_MEV,
     LaserConfig,
     LaserMode,
@@ -75,10 +76,11 @@ def _out_path(path: str) -> Path:
 
 def _laser(args) -> LaserConfig:
     mode = LaserMode.RESONANT if getattr(args, "resonant", False) else LaserMode.NON_RESONANT
+    # built first, so a bad --air-index fails whichever flag gives the laser
+    medium = Medium.air(args.air_index)
     if args.laser_mev is not None:
         return LaserConfig(args.laser_mev, args.phi, mode)
     if args.laser_nm is not None:
-        medium = Medium.air(args.air_index)
         return LaserConfig.from_wavelength(args.laser_nm, args.phi, medium, mode)
     raise CatalogError("specify the laser with --laser-nm or --laser-mev")
 
@@ -237,8 +239,8 @@ def cmd_fit_angle(args) -> tuple[dict, str]:
 
 
 def cmd_catalog(args) -> tuple[dict | list | None, str]:
+    medium = Medium.air(args.air_index)  # checked even when --verify-units is off
     if args.verify_units:
-        medium = Medium.air(args.air_index)
         residuals = builtin_catalog().unit_residuals(medium)
         result = {
             "air_index": medium.refractive_index,
@@ -318,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emin", type=float, required=True, help="grid start in meV")
     p.add_argument("--emax", type=float, required=True, help="grid end in meV")
     p.add_argument("--step", type=float, default=0.2, help="grid spacing in meV")
-    p.add_argument("--dw", type=float, default=0.3, help="Debye-Waller fraction")
+    p.add_argument("--dw", type=float, default=DEFAULT_DEBYE_WALLER,
+                   help="Debye-Waller fraction")
     p.add_argument("--out", required=True, help="output file")
     p.set_defaults(func=cmd_spectrum)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .records import RecordReader, header_lines
+from .records import RecordReader, header_lines, read_records
 from .spectrum import AngularScan, Spectrum, SpectrumError
 
 
@@ -23,14 +23,6 @@ def write_spectrum(path: str | Path, spectrum: Spectrum) -> None:
     for e, i in zip(spectrum.energy_mev.tolist(), spectrum.intensity.tolist()):
         lines.append(f"{e:.6f}\t{i:.9g}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _reader(path: str | Path) -> RecordReader:
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise SpectrumError(f"{path}: not a text file: {exc}") from exc
-    return RecordReader(text, str(path))
 
 
 def _columns(reader: RecordReader) -> tuple[list[float], list[float]]:
@@ -58,7 +50,7 @@ def _columns(reader: RecordReader) -> tuple[list[float], list[float]]:
 def read_spectrum(path: str | Path) -> Spectrum:
     import numpy as np
 
-    reader = _reader(path)
+    reader = read_records(path, SpectrumError)
     energy, intensity = _columns(reader)
     return Spectrum(np.array(energy), np.array(intensity), reader.header, tuple(reader.warnings))
 
@@ -74,4 +66,4 @@ def write_angular_samples(
 
 
 def read_angular_samples(path: str | Path) -> AngularScan:
-    return AngularScan(*_columns(_reader(path)))
+    return AngularScan(*_columns(read_records(path, SpectrumError)))

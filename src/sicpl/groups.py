@@ -13,7 +13,7 @@ import functools
 from importlib import resources
 from typing import NamedTuple
 
-from .exact import GaussianRational, ONE, ZERO, parse_scalar
+from .exact import GaussianRational, ONE, parse_scalar
 from .records import Checked, FrozenSlots, RecordReader
 
 _DATA_FILES = {
@@ -230,10 +230,18 @@ class Check(NamedTuple):
     detail: str = ""
 
 
+def _inner(sizes, xs, ys) -> tuple[int, int]:
+    """Sum of n * x * conj(y) over zipped weights and characters, as int (re, im)."""
+    re = im = 0
+    for n, x, y in zip(sizes, xs, ys):
+        re += n * (x.re * y.re + x.im * y.im)
+        im += n * (x.im * y.re - x.re * y.im)
+    return re, im
+
+
 def verify_table(table: PointGroupTable) -> list[Check]:
     """Run every structural invariant; failures are reported, not raised."""
     checks: list[Check] = []
-    g = GaussianRational(table.order)
 
     size_sum = sum(table.class_sizes)
     checks.append(
@@ -275,30 +283,30 @@ def verify_table(table: PointGroupTable) -> list[Check]:
     row_detail = ""
     for i, a in enumerate(table.irreps):
         for j, b in enumerate(table.irreps):
-            acc = ZERO
-            for n, ca, cb in zip(table.class_sizes, a.characters, b.characters):
-                acc = acc + (ca * cb.conjugate()).scale(n)
-            expected = g if i == j else ZERO
-            if acc != expected:
+            re, im = _inner(table.class_sizes, a.characters, b.characters)
+            expected = table.order if i == j else 0
+            if (re, im) != (expected, 0):
                 row_ok = False
-                row_detail = f"<{a.label},{b.label}> = {acc}, expected {expected}"
+                row_detail = (
+                    f"<{a.label},{b.label}> = {GaussianRational(re, im)}, expected {expected}"
+                )
     checks.append(Check("row-orthogonality", row_ok, row_detail))
 
     col_ok = True
     col_detail = ""
+    columns = [[ir.characters[c] for ir in table.irreps] for c in range(table.n_classes)]
+    ones = [1] * len(table.irreps)
     for c1 in range(table.n_classes):
         for c2 in range(table.n_classes):
-            acc = ZERO
-            for ir in table.irreps:
-                acc = acc + ir.characters[c1] * ir.characters[c2].conjugate()
+            re, im = _inner(ones, columns[c1], columns[c2])
             # n_c * sum = |G| on the diagonal: no division, so a class of size 0 fails
             n_c = table.class_sizes[c1]
-            expected = g if c1 == c2 else ZERO
-            if acc.scale(n_c) != expected:
+            expected = table.order if c1 == c2 else 0
+            if (n_c * re, n_c * im) != (expected, 0):
                 col_ok = False
                 col_detail = (
                     f"columns {table.class_labels[c1]},{table.class_labels[c2]}: "
-                    f"{n_c} x {acc}, expected {expected}"
+                    f"{n_c} x {GaussianRational(re, im)}, expected {expected}"
                 )
     checks.append(Check("column-orthogonality", col_ok, col_detail))
 
@@ -333,14 +341,12 @@ def decompose(rep: RepVector) -> Multiplicities:
     table = rep.group
     counts: dict[str, int] = {}
     for ir in table.irreps:
-        acc = ZERO
-        for n, c, ck in zip(table.class_sizes, rep.characters, ir.characters):
-            acc = acc + (c * ck.conjugate()).scale(n)
-        m, rem = divmod(acc.re, table.order)
-        if rem or acc.im or m < 0:
+        re, im = _inner(table.class_sizes, rep.characters, ir.characters)
+        m, rem = divmod(re, table.order)
+        if rem or im or m < 0:
             raise InvalidRepresentationError(
-                f"multiplicity of {ir.label} is ({acc})/{table.order}, not a non-negative "
-                "integer; character vector is not a representation"
+                f"multiplicity of {ir.label} is ({GaussianRational(re, im)})/{table.order}, "
+                "not a non-negative integer; character vector is not a representation"
             )
         counts[ir.label] = m
     return Multiplicities(table, counts)

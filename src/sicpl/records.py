@@ -22,6 +22,7 @@ NamedTuple whose fields are validated.  No sicpl command imports
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from pathlib import Path
 
 _WARNING = "warning:"
 
@@ -64,6 +65,15 @@ class RecordReader:
     def locate(self, lineno: int, message: object) -> str:
         """The message with its ``<source>: line N:`` prefix."""
         return f"{self.source}: line {lineno}: {message}"
+
+
+def read_records(path: str | Path, error: type[Exception]) -> RecordReader:
+    """A reader over the file at ``path``; a file that is not text raises ``error``."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not a text file: {exc}") from exc
+    return RecordReader(text, str(path))
 
 
 def header_lines(header: Mapping[str, object], warnings: Iterable[str] = ()) -> list[str]:

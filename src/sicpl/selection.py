@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from typing import NamedTuple
 
 from .groups import (
@@ -122,8 +123,12 @@ def dipole_rep(group: PointGroupTable, pol: Polarization) -> RepVector:
 
     For the C1h basal geometry the mirror plane contains the c-axis and
     the defect axis, so the parallel-to-c field transforms as A'; a
-    generic in-plane field spans A' + A''.
+    generic in-plane field spans A' + A''.  A non-finite azimuth is a
+    GroupError in every group.
     """
+    azimuth = pol.azimuth_deg or 0.0
+    if not math.isfinite(azimuth):
+        raise GroupError(f"in-plane azimuth must be finite, got {azimuth}")
     name = group.name
     if name in ("C3v", "C3v_double"):
         if pol.kind is PolarizationKind.PARALLEL_C:
@@ -136,7 +141,7 @@ def dipole_rep(group: PointGroupTable, pol: Polarization) -> RepVector:
         if pol.kind is PolarizationKind.PERPENDICULAR_C:
             # unspecified azimuth: the full 2-dim in-plane vector rep
             return _sum_rep(group.rep("A'"), group.rep("A''"))
-        azimuth = (pol.azimuth_deg or 0.0) % 180.0
+        azimuth %= 180.0
         if azimuth == 0.0:
             return group.rep("A'")
         if azimuth == 90.0:

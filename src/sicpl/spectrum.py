@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 # of about 63.3 degrees, and cos^2 theta = 0 gives the axial B = 1.
 DEFAULT_BASAL_MODULATION = 0.33
 DEFAULT_ZPL_FWHM_MEV = 1.0
+DEFAULT_DEBYE_WALLER = 0.3
 DEFAULT_AXIAL_B_THRESHOLD = 0.95
 DEFAULT_VANISH_RATIO = 0.01
 
@@ -139,7 +140,7 @@ class _LineShapeParamsFields(NamedTuple):
         (40.0, 20.0, 0.6),
         (90.0, 30.0, 0.4),
     )
-    debye_waller: float = 0.3
+    debye_waller: float = DEFAULT_DEBYE_WALLER
 
 
 class LineShapeParams(Checked, _LineShapeParamsFields):

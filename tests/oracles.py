@@ -138,6 +138,21 @@ def reduction_multiplicity(
     return acc / order
 
 
+def orthogonality(class_sizes, rows, order) -> tuple[bool, bool]:
+    """Row and column orthogonality of a character table, as float Gram matrices.
+
+    ``rows`` holds one character list per irrep.  Rows: (chi n) chi^H = |G| I;
+    columns: n_c (chi^H chi) = |G| I, with n_c scaling row c.
+    """
+    chi = np.array(rows, dtype=complex)
+    n = np.array(class_sizes, dtype=float)
+    row_gram = (chi * n) @ chi.conj().T
+    col_gram = n[:, None] * (chi.conj().T @ chi)
+    rows_ok = np.allclose(row_gram, order * np.eye(len(chi)), rtol=0, atol=TOL)
+    cols_ok = np.allclose(col_gram, order * np.eye(len(n)), rtol=0, atol=TOL)
+    return bool(rows_ok), bool(cols_ok)
+
+
 def closed_form_efficiency(
     energy_mev: float,
     axial: bool,

@@ -223,5 +223,12 @@ class TestCatalogFiles:
             load_catalog(path)
         assert str(excinfo.value).startswith(f"{path}: line 3: ")
 
+    def test_binary_file_is_catalog_error(self, tmp_path):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"\xff\xfe PL1 4H VV 1132.0 1095.0 axial hh a\n")
+        with pytest.raises(CatalogError, match="not a text file") as excinfo:
+            load_catalog(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
     def test_default_air_index_documented_value(self):
         assert DEFAULT_AIR_INDEX == pytest.approx(1.000276, abs=1e-6)

@@ -486,6 +486,11 @@ class TestBadInput:
              "--out", "{out}"],
             ["angular-scan", "-A", "1", "-B", "0.5", "--start", "nan", "--out", "{out}"],
             ["fit-angle", "{scan}", "--axial-threshold", "nan"],
+            ["catalog", "4H", "VV", "--air-index", "nan"],
+            ["catalog", "4H", "VV", "--air-index", "inf", "--export", "{out}"],
+            ["excite", "4H", "VV", "--laser-mev", "1200", "--air-index", "0.2"],
+            ["spectrum", "4H", "VV", "--laser-mev", "1200", "--air-index", "nan",
+             "--emin", "950", "--emax", "1160", "--step", "0.5", "--out", "{out}"],
         ],
     )
     def test_non_finite_or_out_of_range_exits_1(self, capsys, tmp_path, argv):

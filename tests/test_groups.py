@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from oracles import (
     c3v_matrices,
     class_character,
     conjugacy_classes,
+    orthogonality,
     reduction_multiplicity,
     su2_double_group,
 )
@@ -130,6 +132,31 @@ class TestVerifyTable:
                 assert acc == pytest.approx(g.order)
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_orthogonality_verdicts_match_gram_oracle(self, data):
+        # classes (identity kept first) and irreps reordered, one character replaced
+        g = builtin_group(data.draw(st.sampled_from(BUILTIN_GROUPS)))
+        rest = data.draw(st.permutations(range(1, g.n_classes)))
+        cols = [0, *rest]
+        irreps = data.draw(st.permutations(g.irreps))
+        rows = [[ir.characters[c] for c in cols] for ir in irreps]
+        k = data.draw(st.integers(0, len(rows) - 1))
+        c = data.draw(st.integers(0, len(cols) - 1))
+        rows[k][c] = data.draw(st.sampled_from(
+            [GaussianRational(re, im) for re, im in
+             [(0, 0), (1, 0), (-1, 0), (2, 0), (-2, 0), (0, 1), (0, -1)]]
+        ))
+        sizes = tuple(g.class_sizes[c] for c in cols)
+        table = PointGroupTable(
+            g.name, g.order, tuple(g.class_labels[c] for c in cols), sizes,
+            tuple(ir._replace(characters=tuple(row)) for ir, row in zip(irreps, rows)),
+        )
+        report = {check.name: check.passed for check in verify_table(table)}
+        expected = orthogonality(sizes, [[complex(x) for x in row] for row in rows], g.order)
+        assert (report["row-orthogonality"], report["column-orthogonality"]) == expected
+
+
 class TestTensorProduct:
     def test_exe_xa2(self):
         g = builtin_group("C3v")
@@ -207,6 +234,34 @@ class TestDecompose:
         rep = RepVector(builtin_group("C1h"), (GaussianRational(2), GaussianRational(0, 2)))
         with pytest.raises(InvalidRepresentationError):
             decompose(rep)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_class_function_reduces_like_float_oracle(self, data):
+        # a Gaussian-integer combination of irreps, perhaps with one character
+        # shifted; the first irrep whose float multiplicity is not a
+        # non-negative integer names the error, with the exact sum
+        g = builtin_group(data.draw(st.sampled_from(BUILTIN_GROUPS)))
+        values = [0, 1, -1, 2, 1j, -1j, 1 + 1j]
+        chars = [0j] * g.n_classes
+        for ir in g.irreps:
+            coeff = data.draw(st.sampled_from(values))
+            chars = [x + coeff * y for x, y in zip(chars, char_row(g, ir.label))]
+        if data.draw(st.booleans()):
+            chars[data.draw(st.integers(0, g.n_classes - 1))] += data.draw(st.sampled_from(values))
+        parts = [(round(x.real), round(x.imag)) for x in chars]
+        rep = RepVector(g, tuple(GaussianRational(re, im) for re, im in parts))
+        expected = {}
+        for ir in g.irreps:
+            m = reduction_multiplicity(g.class_sizes, chars, char_row(g, ir.label), g.order)
+            acc = GaussianRational(round(m.real * g.order), round(m.imag * g.order))
+            if abs(m - round(m.real)) > 1e-9 or round(m.real) < 0:
+                message = f"multiplicity of {ir.label} is ({acc})/{g.order}, not"
+                with pytest.raises(InvalidRepresentationError, match=re.escape(message)):
+                    decompose(rep)
+                return
+            expected[ir.label] = round(m.real)
+        assert decompose(rep).counts == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

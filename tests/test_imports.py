@@ -6,9 +6,13 @@ Exact characters are plain Gaussian integers, so no command loads
 ``fractions`` or the ``decimal`` it pulls in.  Records are NamedTuples or
 slots classes, so neither ``import sicpl.cli`` nor a numpy-free command
 loads ``dataclasses`` or the ``inspect`` it pulls in.
-Every sicpl module is still loaded by ``import sicpl.cli``.
+Every sicpl module is still loaded by ``import sicpl.cli``, and every
+method that the benchmark tracer wraps by name is still defined where it
+looks for it.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -66,6 +70,23 @@ def test_symmetry_and_catalog_commands_never_import_numpy(tmp_path):
     loaded = probe(tmp_path, *NUMPY_FREE)
     assert {name: loaded[name] for name in UNWANTED} == dict.fromkeys(UNWANTED, False)
     assert "QL1 6H VV" in (tmp_path / "slice.txt").read_text()
+
+
+def test_methods_the_bench_tracer_wraps_exist():
+    # bench/tracer.py reads each one from its class's __dict__, so a missing
+    # method would surface only as a KeyError inside the bench smoke run
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    names = {"EXACT_OPS", "METHODS"}
+    found = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in names
+    }
+    assert set(found) == names
+    wrapped = [("exact", "GaussianRational", m) for m in found["EXACT_OPS"]]
+    for module, cls_name, method in [*found["METHODS"], *wrapped]:
+        cls = getattr(importlib.import_module(f"sicpl.{module}"), cls_name)
+        assert method in cls.__dict__, f"{cls_name}.{method}"
 
 
 def test_spectrum_command_imports_numpy(tmp_path):

@@ -49,6 +49,18 @@ class TestDipoleRep:
         oblique = dipole_rep(g, Polarization.in_plane(45.0))
         assert decompose(oblique).counts == {"A'": 1, "A''": 1}
 
+    @pytest.mark.parametrize("group", ["C3v", "C1h", "C3v_double"])
+    @pytest.mark.parametrize("azimuth", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_azimuth_is_group_error(self, group, azimuth):
+        # nan % 180 equals neither 0 nor 90, so C1h once read it as oblique
+        g = builtin_group(group)
+        pol = Polarization.in_plane(azimuth)
+        with pytest.raises(GroupError, match="azimuth must be finite"):
+            dipole_rep(g, pol)
+        initial, final = g.irreps[0].label, g.irreps[-1].label
+        with pytest.raises(GroupError, match="azimuth must be finite"):
+            direct_verdict(TransitionQuery(g, initial, final, pol))
+
 
 class TestPhononMode:
     def test_c3v_axes(self):
