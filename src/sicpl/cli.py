@@ -159,7 +159,7 @@ def cmd_selection(args) -> tuple[dict, str]:
 def cmd_excite(args) -> tuple[dict, str]:
     laser = _laser(args)
     lines = _catalog_slice(args)
-    hits = excited_lines(lines, laser, args.basal_b, args.zpl_fwhm)
+    hits = excited_lines(lines, laser, args.basal_b, LineShapeParams(zpl_fwhm_mev=args.zpl_fwhm))
     result = {
         "laser_mev": laser.photon_energy_mev,
         "phi_deg": laser.polarizer_angle_deg,
@@ -181,16 +181,16 @@ def cmd_excite(args) -> tuple[dict, str]:
 def cmd_spectrum(args) -> tuple[None, str]:
     laser = _laser(args)
     lines = _catalog_slice(args)
-    hits = excited_lines(lines, laser, args.basal_b, args.zpl_fwhm)
     shape = LineShapeParams(zpl_fwhm_mev=args.zpl_fwhm, debye_waller=args.dw)
+    hits = excited_lines(lines, laser, args.basal_b, shape)
     grid = _arange(args.emin, args.emax, args.step, ("--emin", "--emax"))
     metadata = {
         "laser_mev": f"{laser.photon_energy_mev:.4f}",
         "phi_deg": laser.polarizer_angle_deg,
         "mode": laser.mode.value,
         "basal_b": args.basal_b,
-        "zpl_fwhm_mev": args.zpl_fwhm,
-        "debye_waller": args.dw,
+        "zpl_fwhm_mev": shape.zpl_fwhm_mev,
+        "debye_waller": shape.debye_waller,
         "air_index": args.air_index,
         "lines": ",".join(li.label for li, _ in hits) or "(none)",
     }

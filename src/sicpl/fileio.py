@@ -16,13 +16,22 @@ from .records import RecordReader, header_lines, read_records
 from .spectrum import AngularScan, Spectrum, SpectrumError
 
 
-def write_spectrum(path: str | Path, spectrum: Spectrum) -> None:
-    lines = header_lines(spectrum.metadata, spectrum.warnings)
-    lines.append("# columns: energy_meV intensity")
+def _write_columns(path, header, warnings, columns: str, row: str, xs, ys) -> None:
+    """Write the header and warning lines, the ``# columns:`` line and one ``row`` per pair.
+
+    A header entry or warning that would not read back raises SpectrumError
+    before the file is opened.
+    """
+    lines = header_lines(header, warnings, SpectrumError)
+    lines.append(f"# columns: {columns}")
     # Python floats format like numpy's float64 scalars, and faster
-    for e, i in zip(spectrum.energy_mev.tolist(), spectrum.intensity.tolist()):
-        lines.append(f"{e:.6f}\t{i:.9g}")
+    lines.extend(map(row.format, xs.tolist(), ys.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_spectrum(path: str | Path, spectrum: Spectrum) -> None:
+    _write_columns(path, spectrum.metadata, spectrum.warnings, "energy_meV intensity",
+                   "{:.6f}\t{:.9g}", spectrum.energy_mev, spectrum.intensity)
 
 
 def _columns(reader: RecordReader) -> tuple[list[float], list[float]]:
@@ -58,11 +67,8 @@ def read_spectrum(path: str | Path) -> Spectrum:
 def write_angular_samples(
     path: str | Path, samples: AngularScan, metadata: dict | None = None
 ) -> None:
-    lines = header_lines(metadata or {})
-    lines.append("# columns: phi_deg intensity")
-    for phi, i in zip(samples.phi_deg.tolist(), samples.intensity.tolist()):
-        lines.append(f"{phi:.4f}\t{i:.9g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_columns(path, metadata or {}, (), "phi_deg intensity",
+                   "{:.4f}\t{:.9g}", samples.phi_deg, samples.intensity)
 
 
 def read_angular_samples(path: str | Path) -> AngularScan:

@@ -132,7 +132,12 @@ class Multiplicities(FrozenSlots):
         return hash((self.group,))
 
     def __getitem__(self, label: str) -> int:
-        return self.counts.get(label, 0)
+        """The multiplicity of ``label``; a label the group lacks is UnknownGroupError."""
+        try:
+            return self.counts[label]
+        except KeyError:
+            self.group.irrep(label)  # raises for a label the group does not have
+            return 0
 
     def direct_sum_str(self) -> str:
         parts = []
@@ -270,12 +275,19 @@ def verify_table(table: PointGroupTable) -> list[Check]:
     )
 
     for ir in table.irreps:
-        ok = ir.characters and ir.characters[0] == GaussianRational(ir.dim)
+        n = len(ir.characters)
+        checks.append(
+            Check(
+                f"character-count[{ir.label}]",
+                n == table.n_classes,
+                f"{n} characters vs {table.n_classes} classes",
+            )
+        )
         checks.append(
             Check(
                 f"identity-character[{ir.label}]",
-                bool(ok),
-                f"chi(E)={ir.characters[0]} vs dim {ir.dim}",
+                n > 0 and ir.characters[0] == GaussianRational(ir.dim),
+                f"chi(E)={ir.characters[0] if n else 'missing'} vs dim {ir.dim}",
             )
         )
 
@@ -292,12 +304,14 @@ def verify_table(table: PointGroupTable) -> list[Check]:
                 )
     checks.append(Check("row-orthogonality", row_ok, row_detail))
 
-    col_ok = True
-    col_detail = ""
-    columns = [[ir.characters[c] for ir in table.irreps] for c in range(table.n_classes)]
+    # columns exist only if every irrep has one character per class
+    col_ok = all(len(ir.characters) == table.n_classes for ir in table.irreps)
+    col_detail = "" if col_ok else "an irrep does not have one character per class"
+    classes = range(table.n_classes if col_ok else 0)
+    columns = [[ir.characters[c] for ir in table.irreps] for c in classes]
     ones = [1] * len(table.irreps)
-    for c1 in range(table.n_classes):
-        for c2 in range(table.n_classes):
+    for c1 in classes:
+        for c2 in classes:
             re, im = _inner(ones, columns[c1], columns[c2])
             # n_c * sum = |G| on the diagonal: no division, so a class of size 0 fails
             n_c = table.class_sizes[c1]

@@ -76,11 +76,22 @@ def read_records(path: str | Path, error: type[Exception]) -> RecordReader:
     return RecordReader(text, str(path))
 
 
-def header_lines(header: Mapping[str, object], warnings: Iterable[str] = ()) -> list[str]:
-    """The comment lines that :class:`RecordReader` reads back as header and warnings."""
-    lines = [f"# {key} = {value}" for key, value in header.items()]
-    lines.extend(f"# {_WARNING} {warning}" for warning in warnings)
-    return lines
+def header_lines(
+    header: Mapping[str, object], warnings: Iterable[str] = (), error: type[Exception] = ValueError
+) -> list[str]:
+    """The comment lines that :class:`RecordReader` reads back as header and warnings.
+
+    Every entry must read back as ``str(key) = str(value)`` and every warning
+    as itself; one that would not (a line break, a key that holds ``=`` or
+    starts with ``warning:``, whitespace at either end) raises ``error``.
+    """
+    entries = [(f"# {key} = {value}", {str(key): str(value)}, []) for key, value in header.items()]
+    entries += [(f"# {_WARNING} {warning}", {}, [warning]) for warning in warnings]
+    for line, want_header, want_warnings in entries:
+        reader = RecordReader(line, "header")
+        if list(reader) or (reader.header, reader.warnings) != (want_header, want_warnings):
+            raise error(f"header line {line!r} would not read back unchanged")
+    return [line for line, _, _ in entries]
 
 
 class FrozenSlots:

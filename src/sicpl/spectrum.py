@@ -150,7 +150,7 @@ class LineShapeParams(Checked, _LineShapeParamsFields):
         if not 0.0 < self.debye_waller <= 1.0:
             raise SpectrumError("Debye-Waller fraction must lie in (0, 1]")
         if not (math.isfinite(self.zpl_fwhm_mev) and self.zpl_fwhm_mev > 0):
-            raise SpectrumError("ZPL fwhm must be finite and positive")
+            raise SpectrumError(f"ZPL fwhm must be finite and positive, got {self.zpl_fwhm_mev}")
         for offset, fwhm, weight in self.sideband:
             if not math.isfinite(offset):
                 raise SpectrumError(f"sideband offset {offset} must be finite")
@@ -187,9 +187,10 @@ class Spectrum(FrozenSlots):
         object.__setattr__(self, "warnings", warnings)
 
 
-class AngularScan:
+class AngularScan(FrozenSlots):
     """Intensity against polarizer angle, held as two float64 arrays of one length.
 
+    A slots class that equals only itself, like :class:`Spectrum`.
     Iterating yields one :class:`AngularSample` per angle, built only then.
     """
 
@@ -198,10 +199,12 @@ class AngularScan:
     def __init__(self, phi_deg, intensity) -> None:
         import numpy as np
 
-        self.phi_deg = np.asarray(phi_deg, dtype=float)
-        self.intensity = np.asarray(intensity, dtype=float)
-        if self.phi_deg.ndim != 1 or self.phi_deg.shape != self.intensity.shape:
+        phi_deg = np.asarray(phi_deg, dtype=float)
+        intensity = np.asarray(intensity, dtype=float)
+        if phi_deg.ndim != 1 or phi_deg.shape != intensity.shape:
             raise SpectrumError("a scan needs two 1-d arrays of one length")
+        object.__setattr__(self, "phi_deg", phi_deg)
+        object.__setattr__(self, "intensity", intensity)
 
     def __len__(self) -> int:
         return self.phi_deg.size
@@ -214,25 +217,23 @@ def excitation_efficiency(
     line: ZplLine,
     laser: LaserConfig,
     basal_modulation: float = DEFAULT_BASAL_MODULATION,
-    zpl_fwhm_mev: float = DEFAULT_ZPL_FWHM_MEV,
+    shape: LineShapeParams = LineShapeParams(),
 ) -> float:
     """Relative absorption efficiency of one line, normalized to 1 at its best angle.
 
     Non-resonant excitation requires the laser strictly above the ZPL
     (absorption goes into the sideband); resonant excitation requires a
-    hit within half a linewidth.  Axial lines take their modulation from
-    the selection table: 1, so they vanish exactly at phi = 90.  Basal
-    lines take ``basal_modulation``, which must lie in [0, 1].
+    hit within half of ``shape.zpl_fwhm_mev``.  Axial lines take their
+    modulation from the selection table: 1, so they vanish exactly at
+    phi = 90.  Basal lines take ``basal_modulation``, which must lie in [0, 1].
     """
     if not 0.0 <= basal_modulation <= 1.0:
         raise SpectrumError(f"basal modulation must lie in [0, 1], got {basal_modulation}")
-    if not (math.isfinite(zpl_fwhm_mev) and zpl_fwhm_mev > 0):
-        raise SpectrumError(f"ZPL fwhm must be finite and positive, got {zpl_fwhm_mev}")
     if laser.mode is LaserMode.NON_RESONANT:
         if laser.photon_energy_mev <= line.energy_mev:
             return 0.0
     else:
-        if abs(laser.photon_energy_mev - line.energy_mev) > zpl_fwhm_mev / 2.0:
+        if abs(laser.photon_energy_mev - line.energy_mev) > shape.zpl_fwhm_mev / 2.0:
             return 0.0
     b = _axial_modulation(laser.mode) if line.geometry is Geometry.AXIAL else basal_modulation
     model = AngularModel(1.0, b)
@@ -260,11 +261,11 @@ def excited_lines(
     lines: list[ZplLine] | tuple[ZplLine, ...],
     laser: LaserConfig,
     basal_modulation: float = DEFAULT_BASAL_MODULATION,
-    zpl_fwhm_mev: float = DEFAULT_ZPL_FWHM_MEV,
+    shape: LineShapeParams = LineShapeParams(),
 ) -> list[tuple[ZplLine, float]]:
     """Lines with nonzero excitation efficiency, ascending in energy."""
     pairs = [
-        (line, excitation_efficiency(line, laser, basal_modulation, zpl_fwhm_mev))
+        (line, excitation_efficiency(line, laser, basal_modulation, shape))
         for line in lines
     ]
     return sorted(
@@ -398,13 +399,12 @@ def synthesize_spectrum(
     for t0 in range(0, grid.size, tile):
         t1 = t0 + tile
         for lo, hi, windows in plans:
-            if tile < grid.size:  # clip the line to this tile
-                lo, hi = max(lo, t0), min(hi, t1)
-                if lo >= hi:
-                    continue
-                windows = [
-                    (c, max(s, t0), min(e, t1)) for c, s, e in windows if s < t1 and e > t0
-                ]
+            lo, hi = max(lo, t0), min(hi, t1)  # clip the line to this tile
+            if lo >= hi:
+                continue
+            windows = [
+                (c, max(s, t0), min(e, t1)) for c, s, e in windows if s < t1 and e > t0
+            ]
             # accumulate the full band per line over the union of its windows,
             # then add: keeps synthesis bit-exactly linear in the line set
             band_buffer[lo - t0:hi - t0] = 0.0

@@ -464,6 +464,70 @@ class TestNegativeNumberValues:
         assert excinfo.value.code == 2
 
 
+# the full bytes of one file of each kind written through the CLI
+FILES = [
+    (["spectrum", "4H", "VV", "--laser-nm", "1090", "--phi", "90",
+      "--emin", "1115", "--emax", "1125", "--step", "0.5"],
+     "# laser_mev = 1137.1559\n"
+     "# phi_deg = 90.0\n"
+     "# mode = non-resonant\n"
+     "# basal_b = 0.33\n"
+     "# zpl_fwhm_mev = 1.0\n"
+     "# debye_waller = 0.3\n"
+     "# air_index = 1.000276\n"
+     "# lines = PL3\n"
+     "# warning: grid spacing 0.5 meV too coarse for PL3 fwhm 1 meV\n"
+     "# columns: energy_meV intensity\n"
+     "1115.000000\t1.31100925e-06\n"
+     "1115.500000\t1.02043045e-06\n"
+     "1116.000000\t7.91509483e-07\n"
+     "1116.500000\t6.12848305e-07\n"
+     "1117.000000\t1.16638028e-06\n"
+     "1117.500000\t0.000117760955\n"
+     "1118.000000\t0.0049573693\n"
+     "1118.500000\t0.0523275936\n"
+     "1119.000000\t0.138092951\n"
+     "1119.500000\t0.0911073863\n"
+     "1120.000000\t0.0150271861\n"
+     "1120.500000\t0.000619705398\n"
+     "1121.000000\t6.43919002e-06\n"
+     "1121.500000\t5.49666293e-08\n"
+     "1122.000000\t2.86605843e-08\n"
+     "1122.500000\t2.12436867e-08\n"
+     "1123.000000\t1.56974917e-08\n"
+     "1123.500000\t1.155914e-08\n"
+     "1124.000000\t8.48233914e-09\n"
+     "1124.500000\t6.20298304e-09\n"
+     "1125.000000\t4.52043684e-09\n"),
+    (["angular-scan", "-A", "1", "-B", "0.5", "--noise", "0.05", "--seed", "3"],
+     "# amplitude = 1.0\n"
+     "# modulation = 0.5\n"
+     "# noise_sigma = 0.05\n"
+     "# seed = 3\n"
+     "# columns: phi_deg intensity\n"
+     "0.0000\t1.60204596\n"
+     "15.0000\t1.30522945\n"
+     "30.0000\t1.27090494\n"
+     "45.0000\t0.97161152\n"
+     "60.0000\t0.727367535\n"
+     "75.0000\t0.55620744\n"
+     "90.0000\t0.399000694\n"
+     "105.0000\t0.555390679\n"
+     "120.0000\t0.706739346\n"
+     "135.0000\t1.16614998\n"
+     "150.0000\t1.26128933\n"
+     "165.0000\t1.41538116\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", FILES, ids=[a[0] for a, _ in FILES])
+def test_file_bytes_are_pinned(capsys, tmp_path, argv, expected):
+    out = tmp_path / "out.tsv"
+    code, _, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == expected.encode()
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv",

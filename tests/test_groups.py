@@ -13,6 +13,7 @@ from sicpl.groups import (
     GroupMismatchError,
     Irrep,
     InvalidRepresentationError,
+    Multiplicities,
     PointGroupTable,
     RepVector,
     TableFormatError,
@@ -156,6 +157,16 @@ class TestVerifyTable:
         expected = orthogonality(sizes, [[complex(x) for x in row] for row in rows], g.order)
         assert (report["row-orthogonality"], report["column-orthogonality"]) == expected
 
+    @pytest.mark.parametrize("characters", [(2, -1), ()], ids=["short", "empty"])
+    def test_missing_characters_are_reported_not_raised(self, characters):
+        g = builtin_group("C3v")
+        a1, a2, e = g.irreps
+        short_e = e._replace(characters=tuple(GaussianRational(c) for c in characters))
+        report = {c.name: c.passed for c in verify_table(g._replace(irreps=(a1, a2, short_e)))}
+        assert not report["character-count[E]"] and not report["column-orthogonality"]
+        assert report["character-count[A1]"] and report["character-count[A2]"]
+        assert report["identity-character[E]"] == bool(characters)
+
 
 class TestTensorProduct:
     def test_exe_xa2(self):
@@ -290,6 +301,19 @@ class TestDecompose:
                     for ir in g.irreps
                 }
                 assert decompose(rep).counts == expected
+
+
+class TestMultiplicities:
+    def test_label_outside_the_group_is_unknown(self):
+        g = builtin_group("C3v")
+        mult = decompose(tensor_product(g.rep("E"), g.rep("E")))
+        with pytest.raises(UnknownGroupError, match=r"no irrep 'A3' \(valid: A1, A2, E\)"):
+            mult["A3"]
+
+    def test_label_of_the_group_missing_from_counts_reads_zero(self):
+        g = builtin_group("C3v")
+        mult = Multiplicities(g, {"E": 1})
+        assert (mult["A1"], mult["A2"], mult["E"]) == (0, 0, 1)
 
 
 class TestContainsTrivial:

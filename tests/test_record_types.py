@@ -1,7 +1,7 @@
 """What every in-memory record keeps, however it is implemented.
 
-Records are immutable, compare by their fields (a ``Spectrum`` only by
-identity, so its arrays are never compared), survive a copy and a pickle,
+Records are immutable, compare by their fields (a ``Spectrum`` or an
+``AngularScan`` only by identity, so its arrays are never compared), survive a copy and a pickle,
 and print as ``Name(field=value, ...)``.  ``GaussianRational`` is a scalar,
 not a tuple, and a validated record runs its checks however it is built.
 """
@@ -26,6 +26,7 @@ from sicpl.selection import (
 from sicpl.spectrum import (
     AngularModel,
     AngularSample,
+    AngularScan,
     LaserConfig,
     LineShapeParams,
     Spectrum,
@@ -57,6 +58,7 @@ RECORDS = [
     (LineShapeParams(), "debye_waller"),
     (AngularSample(0.0, 1.0), "intensity"),
     (Spectrum(np.arange(3.0), np.ones(3), {"lines": "PL1"}), "metadata"),
+    (AngularScan([0.0, 45.0], [1.0, 0.5]), "phi_deg"),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]
 
@@ -74,6 +76,9 @@ def test_copy_and_pickle_rebuild_the_record(record, field):
         if isinstance(record, Spectrum):
             assert np.array_equal(clone.intensity, record.intensity)
             assert clone.metadata == record.metadata
+        elif isinstance(record, AngularScan):
+            assert np.array_equal(clone.phi_deg, record.phi_deg)
+            assert np.array_equal(clone.intensity, record.intensity)
         else:
             assert clone == record and hash(clone) == hash(record)
 

@@ -10,7 +10,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sicpl.catalog import CatalogError, parse_catalog
@@ -21,7 +21,7 @@ from sicpl.fileio import (
     write_spectrum,
 )
 from sicpl.groups import GroupError, load_table
-from sicpl.records import RecordReader, header_lines
+from sicpl.records import RecordReader, header_lines, read_records
 from sicpl.spectrum import AngularSample, AngularScan, Spectrum, SpectrumError
 
 LOCATED = re.compile(r": line \d+: ")
@@ -96,6 +96,17 @@ class TestTwoColumnFiles:
         rows = [f"{e:.6f}\t{i:.9g}" for e, i in zip(spectrum.energy_mev, spectrum.intensity)]
         expected = header_lines(spectrum.metadata, spectrum.warnings)
         expected += ["# columns: energy_meV intensity", *rows]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+    def test_scan_rows_format_like_numpy_scalars(self, tmp_path):
+        # signed zero, angles that round up or down at the 4th decimal, tiny and huge values
+        phis = [0.0, -0.0, 179.99995, 1e-5, -1e-5, 45.5, 90.0, 1e17, 5e-324]
+        values = [2.0, 0.0, -0.0, 1e-9, 1 / 3, 1.7976931348623157e308, -2.5, 5e-324, 1e16]
+        scan = AngularScan(phis, values)
+        path = tmp_path / "scan.tsv"
+        write_angular_samples(path, scan, {"seed": 7})
+        rows = [f"{p:.4f}\t{i:.9g}" for p, i in zip(scan.phi_deg, scan.intensity)]
+        expected = ["# seed = 7", "# columns: phi_deg intensity", *rows]
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
     def test_scan_round_trip(self, tmp_path):
@@ -241,3 +252,46 @@ def test_fuzz_scan(tmp_path, text):
         assert LOCATED.search(str(exc))
     else:
         assert all(np.isfinite([s.phi_deg, s.intensity]).all() for s in samples)
+
+
+# -- every header a writer accepts reads back unchanged ------------------
+
+header_text = (
+    st.text(max_size=8)
+    | st.text(alphabet="ab =#:\t \n\r\x0b\x1c\x85\u2028", max_size=8)
+    | st.sampled_from(["warning:", "warning: x", " k", "k=x", "columns: x y"])
+)
+header_value = header_text | st.integers() | st.floats()
+headers = st.dictionaries(header_text | st.integers(), header_value, max_size=4)
+
+
+@fuzz
+@example(header={"note": "a\n3 4", "k=x": "v"}, warnings=["w\n5 6"])
+@given(header=headers, warnings=st.lists(header_text, max_size=3))
+def test_written_header_reads_back_or_is_refused(tmp_path, header, warnings):
+    grid, values = np.array([1.0, 2.0]), np.array([0.5, 0.25])
+    want = {str(k): str(v) for k, v in header.items()}
+
+    path = tmp_path / "spectrum.tsv"
+    path.unlink(missing_ok=True)
+    try:
+        write_spectrum(path, Spectrum(grid, values, header, tuple(warnings)))
+    except SpectrumError:
+        assert not path.exists()
+    else:
+        back = read_spectrum(path)
+        assert (back.metadata, back.warnings) == (want, tuple(warnings))
+        assert np.array_equal(back.energy_mev, grid) and np.array_equal(back.intensity, values)
+
+    path = tmp_path / "scan.tsv"
+    path.unlink(missing_ok=True)
+    try:
+        write_angular_samples(path, AngularScan(grid, values), header)
+    except SpectrumError:
+        assert not path.exists()
+    else:
+        reader = read_records(path, SpectrumError)
+        assert len(list(reader)) == 2
+        assert (reader.header, reader.warnings) == (want, [])
+        scan = read_angular_samples(path)
+        assert np.array_equal(scan.phi_deg, grid) and np.array_equal(scan.intensity, values)

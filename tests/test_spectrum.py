@@ -120,8 +120,8 @@ class TestExcitationEfficiency:
         pl3 = CAT.lookup(Polytype.FOUR_H, Defect.DIVACANCY, "PL3")
         hit = LaserConfig(pl3.energy_mev + 0.4, 0.0, LaserMode.RESONANT)
         miss = LaserConfig(pl3.energy_mev + 0.6, 0.0, LaserMode.RESONANT)
-        assert excitation_efficiency(pl3, hit, zpl_fwhm_mev=1.0) > 0.0
-        assert excitation_efficiency(pl3, miss, zpl_fwhm_mev=1.0) == 0.0
+        assert excitation_efficiency(pl3, hit, shape=LineShapeParams(zpl_fwhm_mev=1.0)) > 0.0
+        assert excitation_efficiency(pl3, miss, shape=LineShapeParams(zpl_fwhm_mev=1.0)) == 0.0
 
     def test_axial_vanishing_law_under_resonant_excitation(self):
         for li in CAT.lines_for(geometry=Geometry.AXIAL):
