@@ -31,6 +31,7 @@ from .catalog import (
 )
 from .fileio import read_angular_samples, read_spectrum, write_angular_samples, write_spectrum
 from .groups import BUILTIN_GROUPS, GroupError, builtin_group, decompose, tensor_product
+from .records import write_records
 from .selection import DefectClass, Policy, selection_table
 from .spectrum import (
     AngularModel,
@@ -111,6 +112,25 @@ def _arange(start: float, stop: float, step: float, flags: tuple[str, str]) -> n
     return points
 
 
+def _check_written_energies(grid: np.ndarray, step: float) -> None:
+    """Raise unless the grid still strictly ascends once written to a spectrum file.
+
+    The file keeps 6 decimals of each energy, so a point reads back less
+    than 1e-6 meV from itself: under 5e-7 from the rounding and under 5e-7
+    from parsing the decimal.  Points more than 2e-6 meV apart therefore
+    always read back ascending; only closer pairs are written and compared.
+    """
+    import numpy as np
+
+    for i in np.flatnonzero(np.diff(grid) <= 2e-6).tolist():
+        low, high = (float(f"{point:.6f}") for point in grid[i:i + 2].tolist())
+        if not low < high:
+            raise SpectrumError(
+                f"--step {step:g} is finer than the 6 decimals a spectrum file keeps: "
+                f"the energies near {low:.6f} meV would repeat"
+            )
+
+
 def _add_laser_flags(parser: argparse.ArgumentParser) -> None:
     laser = parser.add_mutually_exclusive_group()
     laser.add_argument("--laser-nm", type=float, help="laser wavelength in nm")
@@ -184,6 +204,7 @@ def cmd_spectrum(args) -> tuple[None, str]:
     shape = LineShapeParams(zpl_fwhm_mev=args.zpl_fwhm, debye_waller=args.dw)
     hits = excited_lines(lines, laser, args.basal_b, shape)
     grid = _arange(args.emin, args.emax, args.step, ("--emin", "--emax"))
+    _check_written_energies(grid, args.step)
     metadata = {
         "laser_mev": f"{laser.photon_energy_mev:.4f}",
         "phi_deg": laser.polarizer_angle_deg,
@@ -255,7 +276,7 @@ def cmd_catalog(args) -> tuple[dict | list | None, str]:
     lines = _catalog_slice(args)
     if args.export:
         path = _out_path(args.export)
-        path.write_text(format_catalog(Catalog(tuple(lines))))
+        write_records(path, format_catalog(Catalog(tuple(lines))), CatalogError)
         return None, f"wrote {path} ({len(lines)} lines)\n"
     result = [
         {"label": li.label, "polytype": li.polytype.value,

@@ -11,6 +11,7 @@ files share one syntax:
 
 Each format converts its own tokens and reports a bad record with
 :meth:`RecordReader.locate`, as ``<source>: line N: message``.
+:func:`write_records` writes a file of any of them whole, or not at all.
 
 Every sicpl record is immutable.  Most are ``typing.NamedTuple`` classes;
 this module also holds the two bases of the rest: :class:`FrozenSlots`
@@ -21,6 +22,7 @@ NamedTuple whose fields are validated.  No sicpl command imports
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
 
@@ -74,6 +76,32 @@ def read_records(path: str | Path, error: type[Exception]) -> RecordReader:
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not a text file: {exc}") from exc
     return RecordReader(text, str(path))
+
+
+def write_records(path: str | Path, text: str, error: type[Exception]) -> None:
+    """Write ``text`` to ``path`` whole, or leave ``path`` as it was.
+
+    The text is encoded first, in the encoding :func:`read_records` reads
+    back, so text it cannot hold raises ``error`` before any file is
+    touched.  The bytes go to a new file beside ``path`` that then
+    replaces it; if that fails, the new file is removed.
+    """
+    import locale
+
+    path = Path(path)
+    try:
+        data = text.encode(locale.getpreferredencoding(False))
+    except UnicodeEncodeError as exc:
+        raise error(f"{path}: cannot encode the text: {exc}") from exc
+    part = path.with_name(f".{path.name}.{os.urandom(4).hex()}.part")
+    file = open(part, "xb")
+    try:
+        with file:
+            file.write(data)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def header_lines(

@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -371,6 +372,19 @@ class TestCatalogCommand:
         cat = load_catalog(out_file)
         assert [li.label for li in cat.lines] == ["PL1", "PL2", "PL3", "PL4"]
 
+    def test_failed_export_leaves_the_old_file(self, capsys, tmp_path, monkeypatch):
+        out_file = tmp_path / "cat.txt"
+        out_file.write_text("old catalog\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("sicpl.records.os.replace", fail)
+        code, out, err = run(capsys, "catalog", "4H", "VV", "--export", str(out_file))
+        assert (code, out, err) == (1, "", "error: disk full\n")
+        assert out_file.read_text() == "old catalog\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cat.txt"]
+
 
 class TestStepValidation:
     @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])
@@ -583,6 +597,10 @@ class TestBadInput:
               "--step", "0.5", "--zpl-fwhm", "1e-320"], "peak height beyond the float range"),
             (["spectrum", "4H", "VV", "--laser-nm", "930", "--emin", "1095", "--emax", "1097",
               "--step", "0.5", "--zpl-fwhm", "5e-324"], "sigma 0 meV"),
+            (["spectrum", "4H", "VV", "--laser-nm", "1000", "--emin", "1095",
+              "--emax", "1095.00001", "--step", "1e-7"],
+             "--step 1e-07 is finer than the 6 decimals a spectrum file keeps: "
+             "the energies near 1095.000000 meV would repeat"),
         ],
     )
     def test_overflow_or_step_below_float_spacing_exits_1(self, capsys, tmp_path, argv, message):
@@ -635,10 +653,35 @@ class TestBadInput:
 def test_debye_waller_on_empty_spectrum_exits_1(capsys, tmp_path):
     empty = tmp_path / "empty.tsv"
     empty.write_text("# no rows\n")
-    code, out, err = run(capsys, "debye-waller", str(empty),
-                         "--zpl-window", "1", "2", "--band-window", "0", "3")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "debye-waller", str(empty),
+                             "--zpl-window", "1", "2", "--band-window", "0", "3")
     assert (code, out) == (1, "")
     assert err == "error: band window exceeds the spectrum grid\n"
+    assert caught == []  # numpy's "input contained no data" stays inside the reader
+
+
+@settings(max_examples=300, deadline=None)
+@example(start=1095.0, gaps=[1e-7] * 10)
+@example(start=1e10, gaps=[0.0, 0.0, 2e-6])
+@given(start=st.floats(-1e10, 1e10),
+       gaps=st.lists(st.floats(0.0, 4e-6) | st.just(1e-6), min_size=1, max_size=12))
+def test_written_energy_check_is_exact(start, gaps):
+    from sicpl.cli import _check_written_energies
+    from sicpl.spectrum import SpectrumError
+
+    points = [start]
+    for gap in gaps:
+        points.append(max(points[-1] + gap, math.nextafter(points[-1], math.inf)))
+    written = [float(f"{point:.6f}") for point in points]
+    ascends = all(low < high for low, high in zip(written, written[1:]))
+    try:
+        _check_written_energies(np.array(points), 1e-6)
+    except SpectrumError:
+        assert not ascends
+    else:
+        assert ascends
 
 
 def test_debye_waller_on_negative_band_intensity_exits_1(capsys, tmp_path):

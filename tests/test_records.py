@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from sicpl.catalog import CatalogError, parse_catalog
 from sicpl.fileio import (
+    _located_columns,
     read_angular_samples,
     read_spectrum,
     write_angular_samples,
@@ -128,6 +129,28 @@ class TestTwoColumnFiles:
         path.write_bytes(b"\xff\xfe\x00 1\n")
         with pytest.raises(SpectrumError, match="not a text file"):
             reader(path)
+
+    @pytest.mark.parametrize("write", [
+        lambda path, header: write_spectrum(
+            path, Spectrum(np.array([1.0, 2.0]), np.array([0.5, 0.25]), header)),
+        lambda path, header: write_angular_samples(
+            path, AngularScan([0.0, 90.0], [1.0, 0.5]), header),
+    ], ids=["spectrum", "scan"])
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "old.tsv"
+        path.write_text("1 2\n")
+        # a lone surrogate reads back as a header value, but no file can hold it
+        with pytest.raises(SpectrumError, match="cannot encode"):
+            write(path, {"note": "\udc80"})
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("sicpl.records.os.replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write(path, {"note": "ok"})
+        assert path.read_text() == "1 2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.tsv"]
 
     @pytest.mark.parametrize(
         "row, message",
@@ -252,6 +275,47 @@ def test_fuzz_scan(tmp_path, text):
         assert LOCATED.search(str(exc))
     else:
         assert all(np.isfinite([s.phi_deg, s.intensity]).all() for s in samples)
+
+
+def located_read(path):
+    """What the located pass alone reads from the file at ``path``."""
+    reader = read_records(path, SpectrumError)
+    xs, ys = _located_columns(reader)
+    return np.array(xs), np.array(ys), reader.header, tuple(reader.warnings)
+
+
+@fuzz
+@example(text="1_0 2\n")
+@example(text="\u0661 2\n")
+@example(text="1\x1f2\n3 4\x1f\n")
+@example(text="1 2\x0c3 4\n")
+@example(text="1\x1c2\n")
+@example(text="1 2\nnan 4\n")
+@example(text="1 infinity\n")
+@example(text="1e999 2\n")
+@example(text="-0 0\n5e-324 1e-400\n")
+@example(text="# k = v\n# warning: w\n")
+@example(text="# k = v\n1 2 # a = b\n3 4#c\n# warning: w\n")
+@example(text="1\n2\n")
+@example(text="1 2 3\n4 5 6\n")
+@given(text=token_soup | mutated(SPECTRUM_TEXT) | mutated(SCAN_TEXT))
+def test_fast_read_matches_the_located_read(tmp_path, text):
+    path = tmp_path / "fuzz.tsv"
+    path.write_text(text)
+    try:
+        want = located_read(path)
+    except SpectrumError as exc:
+        for reader in (read_spectrum, read_angular_samples):
+            with pytest.raises(SpectrumError) as raised:
+                reader(path)
+            assert str(raised.value) == str(exc)
+        return
+    spectrum, scan = read_spectrum(path), read_angular_samples(path)
+    for xs, ys in ((spectrum.energy_mev, spectrum.intensity), (scan.phi_deg, scan.intensity)):
+        for got, expected in ((xs, want[0]), (ys, want[1])):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()  # bit for bit, signed zeros too
+    assert (spectrum.metadata, spectrum.warnings) == want[2:]
 
 
 # -- every header a writer accepts reads back unchanged ------------------
