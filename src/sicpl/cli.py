@@ -112,22 +112,24 @@ def _arange(start: float, stop: float, step: float, flags: tuple[str, str]) -> n
     return points
 
 
-def _check_written_energies(grid: np.ndarray, step: float) -> None:
-    """Raise unless the grid still strictly ascends once written to a spectrum file.
+def _check_written_points(
+    points: np.ndarray, step: float, decimals: int, unit: str, what: str, file: str
+) -> None:
+    """Raise unless the points still strictly ascend once written with ``decimals``.
 
-    The file keeps 6 decimals of each energy, so a point reads back less
-    than 1e-6 meV from itself: under 5e-7 from the rounding and under 5e-7
-    from parsing the decimal.  Points more than 2e-6 meV apart therefore
-    always read back ascending; only closer pairs are written and compared.
+    With d decimals a point reads back less than 10**-d from itself: under
+    half of that from the rounding and under half from parsing the decimal.
+    Points more than 2 * 10**-d apart therefore always read back ascending;
+    only closer pairs are written and compared.
     """
     import numpy as np
 
-    for i in np.flatnonzero(np.diff(grid) <= 2e-6).tolist():
-        low, high = (float(f"{point:.6f}") for point in grid[i:i + 2].tolist())
+    for i in np.flatnonzero(np.diff(points) <= float(f"2e-{decimals}")).tolist():
+        low, high = (float(f"{point:.{decimals}f}") for point in points[i:i + 2].tolist())
         if not low < high:
             raise SpectrumError(
-                f"--step {step:g} is finer than the 6 decimals a spectrum file keeps: "
-                f"the energies near {low:.6f} meV would repeat"
+                f"--step {step:g} is finer than the {decimals} decimals a {file} keeps: "
+                f"the {what} near {low:.{decimals}f} {unit} would repeat"
             )
 
 
@@ -204,7 +206,7 @@ def cmd_spectrum(args) -> tuple[None, str]:
     shape = LineShapeParams(zpl_fwhm_mev=args.zpl_fwhm, debye_waller=args.dw)
     hits = excited_lines(lines, laser, args.basal_b, shape)
     grid = _arange(args.emin, args.emax, args.step, ("--emin", "--emax"))
-    _check_written_energies(grid, args.step)
+    _check_written_points(grid, args.step, 6, "meV", "energies", "spectrum file")
     metadata = {
         "laser_mev": f"{laser.photon_energy_mev:.4f}",
         "phi_deg": laser.polarizer_angle_deg,
@@ -226,6 +228,7 @@ def cmd_spectrum(args) -> tuple[None, str]:
 def cmd_angular_scan(args) -> tuple[None, str]:
     model = AngularModel(args.amplitude, args.modulation)
     phis = _arange(args.start, args.stop, args.step, ("--start", "--stop"))
+    _check_written_points(phis, args.step, 4, "deg", "angles", "scan file")
     samples = angular_scan(model, phis, args.noise, args.seed)
     metadata = {
         "amplitude": args.amplitude,

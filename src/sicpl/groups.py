@@ -107,7 +107,7 @@ class RepVector(Checked, _RepVectorFields):
             )
 
     def conjugate(self) -> "RepVector":
-        return RepVector(self.group, tuple(c.conjugate() for c in self.characters))
+        return RepVector(self.group, tuple(GaussianRational(c.re, -c.im) for c in self.characters))
 
 
 class Multiplicities(FrozenSlots):
@@ -332,7 +332,11 @@ def verify_table(table: PointGroupTable) -> list[Check]:
 
 
 def tensor_product(a: RepVector, b: RepVector, *more: RepVector) -> RepVector:
-    """Class-wise exact product of representation characters."""
+    """Class-wise exact product of representation characters.
+
+    The products run on the ``int`` parts; each result character is one
+    GaussianRational.
+    """
     reps = (a, b) + more
     group = reps[0].group
     for r in reps[1:]:
@@ -340,10 +344,11 @@ def tensor_product(a: RepVector, b: RepVector, *more: RepVector) -> RepVector:
             raise GroupMismatchError(
                 f"cannot combine representations of {group.name} and {r.group.name}"
             )
-    chars = reps[0].characters
+    parts = [(x.re, x.im) for x in a.characters]
     for r in reps[1:]:
-        chars = tuple(x * y for x, y in zip(chars, r.characters))
-    return RepVector(group, chars)
+        parts = [(re * y.re - im * y.im, re * y.im + im * y.re)
+                 for (re, im), y in zip(parts, r.characters)]
+    return RepVector(group, tuple(GaussianRational(re, im) for re, im in parts))
 
 
 def decompose(rep: RepVector) -> Multiplicities:

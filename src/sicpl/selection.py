@@ -1,8 +1,10 @@
 """Transition verdicts from representation algebra.
 
 The matrix-element criterion is: a dipole transition can be nonzero only
-if conj(final) x dipole x initial (x phonon, when one assists) contains
-the trivial representation.  On top of that sits a physical-coupling
+if final occurs in dipole x initial (x phonon, when one assists).  That
+multiplicity, (1/|G|) sum_c n_c chi_D chi_i conj(chi_f), is also the
+multiplicity of the trivial irrep in conj(final) x dipole x initial, so
+both forms give the same verdict.  On top of that sits a physical-coupling
 rule: light cannot excite a phonon whose atomic displacements are
 orthogonal to its electric field, which demotes one formally-allowed
 entry of the axial-triplet table to "physically forbidden".
@@ -15,12 +17,13 @@ import json
 import math
 from typing import NamedTuple
 
+from .exact import GaussianRational
 from .groups import (
     GroupError,
     PointGroupTable,
     RepVector,
     builtin_group,
-    contains_trivial,
+    decompose,
     tensor_product,
 )
 
@@ -152,20 +155,14 @@ def dipole_rep(group: PointGroupTable, pol: Polarization) -> RepVector:
 
 
 def _sum_rep(a: RepVector, b: RepVector) -> RepVector:
-    return RepVector(a.group, tuple(x + y for x, y in zip(a.characters, b.characters)))
+    return RepVector(a.group, tuple(
+        GaussianRational(x.re + y.re, x.im + y.im) for x, y in zip(a.characters, b.characters)
+    ))
 
 
-def _matrix_element_allowed(
-    group: PointGroupTable,
-    initial: str,
-    final: str,
-    dipole: RepVector,
-    phonon: PhononMode | None = None,
-) -> bool:
-    factors = [group.rep(final).conjugate(), dipole, group.rep(initial)]
-    if phonon is not None:
-        factors.insert(1, group.rep(phonon.irrep_label))
-    return contains_trivial(tensor_product(*factors))
+def _reaches(product: RepVector, final: str) -> bool:
+    """True iff ``final`` occurs in ``product`` (dipole x initial, x phonon if any)."""
+    return decompose(product)[final] >= 1
 
 
 def _pol_couples_to_axis(pol: Polarization, axis: DisplacementAxis) -> bool:
@@ -178,9 +175,8 @@ def direct_verdict(q: TransitionQuery) -> Verdict:
     """Verdict for a zero-phonon (resonant or emission) transition."""
     if q.phonon is not None:
         raise GroupError("direct_verdict requires a phonon-free query")
-    allowed = _matrix_element_allowed(
-        q.group, q.initial, q.final, dipole_rep(q.group, q.polarization)
-    )
+    dip = dipole_rep(q.group, q.polarization)
+    allowed = _reaches(tensor_product(dip, q.group.rep(q.initial)), q.final)
     return Verdict(allowed, physical_coupling=True)
 
 
@@ -196,11 +192,13 @@ def phonon_assisted_verdict(
     """
     if q.phonon is None:
         raise GroupError("phonon_assisted_verdict requires a phonon")
-    dip = dipole_rep(q.group, q.polarization)
-    allowed = _matrix_element_allowed(q.group, q.initial, q.final, dip, q.phonon)
+    group = q.group
+    # dipole x initial, shared by the phonon product and the direct check
+    reached = tensor_product(dipole_rep(group, q.polarization), group.rep(q.initial))
+    allowed = _reaches(tensor_product(reached, group.rep(q.phonon.irrep_label)), q.final)
     if policy is Policy.GROUP_THEORY_ONLY:
         return Verdict(allowed, physical_coupling=True)
-    direct_allowed = _matrix_element_allowed(q.group, q.initial, q.final, dip)
+    direct_allowed = _reaches(reached, q.final)
     coupling = direct_allowed or _pol_couples_to_axis(
         q.polarization, q.phonon.displacement_axis
     )
@@ -226,15 +224,19 @@ def kramers_verdict(
     """Direct-transition verdict between Kramers levels in the double group.
 
     Each level expands into its sublevel irreps; the transition is
-    allowed if any sublevel pair gives a nonzero matrix element.
+    allowed if any sublevel pair gives a nonzero matrix element.  Each
+    initial sublevel's dipole x initial is decomposed once and read for
+    every final sublevel.
     """
     if pol.kind is PolarizationKind.IN_PLANE_ANGLE:
         raise GroupError("kramers_verdict accepts only parallel/perpendicular polarization")
     group = builtin_group("C3v_double")
     dip = dipole_rep(group, pol)
     allowed = any(
-        _matrix_element_allowed(group, i, f, dip)
-        for i in initial.sublevel_irreps
+        reached[f] >= 1
+        for reached in (
+            decompose(tensor_product(dip, group.rep(i))) for i in initial.sublevel_irreps
+        )
         for f in final.sublevel_irreps
     )
     return Verdict(allowed, physical_coupling=True)

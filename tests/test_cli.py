@@ -156,6 +156,52 @@ class TestSelection:
             main(["selection", "nonsense"])
         assert excinfo.value.code == 2
 
+    # (symbol, group_theory_allowed, physical_coupling) per ZPL, A1, A2, E column
+    PANELS = {
+        ("triplet-axial", "physical"): {
+            "E_perp_c": [("A", True, True), ("A", True, True),
+                         ("A", True, True), ("A", True, True)],
+            "E_par_c": [("F", False, True), ("F", False, True),
+                        ("F", False, True), ("A*", True, False)],
+        },
+        ("triplet-axial", "group-theory-only"): {
+            "E_perp_c": [("A", True, True), ("A", True, True),
+                         ("A", True, True), ("A", True, True)],
+            "E_par_c": [("F", False, True), ("F", False, True),
+                        ("F", False, True), ("A", True, True)],
+        },
+        ("vsi-single-group", "physical"): {
+            "E_perp_c": [("F", False, True), ("F", False, False),
+                         ("F", False, False), ("A", True, True)],
+            "E_par_c": [("A", True, True), ("A", True, True),
+                        ("F", False, True), ("F", False, True)],
+        },
+        ("vsi-single-group", "group-theory-only"): {
+            "E_perp_c": [("F", False, True), ("F", False, True),
+                         ("F", False, True), ("A", True, True)],
+            "E_par_c": [("A", True, True), ("A", True, True),
+                        ("F", False, True), ("F", False, True)],
+        },
+    }
+
+    @pytest.mark.parametrize("defect_class, policy", list(PANELS), ids="/".join)
+    def test_json_panel_is_pinned(self, capsys, defect_class, policy):
+        code, out, err = run(capsys, "selection", defect_class, "--policy", policy,
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "defect_class": defect_class,
+            "policy": policy,
+            "columns": ["ZPL", "A1", "A2", "E"],
+            "rows": [
+                {"polarization": label,
+                 "verdicts": [{"symbol": symbol, "group_theory_allowed": allowed,
+                               "physical_coupling": coupling}
+                              for symbol, allowed, coupling in cells]}
+                for label, cells in self.PANELS[(defect_class, policy)].items()
+            ],
+        }
+
 
 class TestExcite:
     def test_selective_pl3(self, capsys):
@@ -601,6 +647,10 @@ class TestBadInput:
               "--emax", "1095.00001", "--step", "1e-7"],
              "--step 1e-07 is finer than the 6 decimals a spectrum file keeps: "
              "the energies near 1095.000000 meV would repeat"),
+            (["angular-scan", "-A", "1", "-B", "0.5", "--start", "0", "--stop", "0.001",
+              "--step", "0.00001"],
+             "--step 1e-05 is finer than the 4 decimals a scan file keeps: "
+             "the angles near 0.0000 deg would repeat"),
         ],
     )
     def test_overflow_or_step_below_float_spacing_exits_1(self, capsys, tmp_path, argv, message):
@@ -663,21 +713,26 @@ def test_debye_waller_on_empty_spectrum_exits_1(capsys, tmp_path):
 
 
 @settings(max_examples=300, deadline=None)
-@example(start=1095.0, gaps=[1e-7] * 10)
-@example(start=1e10, gaps=[0.0, 0.0, 2e-6])
+@example(start=1095.0, gaps=[1e-7] * 10, decimals=6)
+@example(start=1e10, gaps=[0.0, 0.0, 2e-6], decimals=6)
+@example(start=0.0, gaps=[1e-7] * 10, decimals=4)
+@example(start=-1e-7, gaps=[0.0], decimals=4)
 @given(start=st.floats(-1e10, 1e10),
-       gaps=st.lists(st.floats(0.0, 4e-6) | st.just(1e-6), min_size=1, max_size=12))
-def test_written_energy_check_is_exact(start, gaps):
-    from sicpl.cli import _check_written_energies
+       gaps=st.lists(st.floats(0.0, 4e-6) | st.just(1e-6), min_size=1, max_size=12),
+       decimals=st.sampled_from([6, 4]))
+def test_written_energy_check_is_exact(start, gaps, decimals):
+    """Spectrum files keep 6 decimals of each energy, scan files 4 of each angle."""
+    from sicpl.cli import _check_written_points
     from sicpl.spectrum import SpectrumError
 
+    scale = 10.0 ** (6 - decimals)  # gaps are drawn for 6 decimals
     points = [start]
     for gap in gaps:
-        points.append(max(points[-1] + gap, math.nextafter(points[-1], math.inf)))
-    written = [float(f"{point:.6f}") for point in points]
+        points.append(max(points[-1] + gap * scale, math.nextafter(points[-1], math.inf)))
+    written = [float(f"{point:.{decimals}f}") for point in points]
     ascends = all(low < high for low, high in zip(written, written[1:]))
     try:
-        _check_written_energies(np.array(points), 1e-6)
+        _check_written_points(np.array(points), 1e-6, decimals, "deg", "angles", "scan file")
     except SpectrumError:
         assert not ascends
     else:

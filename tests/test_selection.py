@@ -2,13 +2,22 @@ import itertools
 
 import pytest
 
-from sicpl.groups import GroupError, UnknownGroupError, builtin_group, decompose
+from sicpl.groups import (
+    BUILTIN_GROUPS,
+    GroupError,
+    UnknownGroupError,
+    builtin_group,
+    contains_trivial,
+    decompose,
+    tensor_product,
+)
 from sicpl.selection import (
     DefectClass,
     DisplacementAxis,
     KramersLevel,
     PhononMode,
     Polarization,
+    PolarizationKind,
     Policy,
     TransitionQuery,
     Verdict,
@@ -20,7 +29,7 @@ from sicpl.selection import (
     selection_table,
 )
 
-from oracles import kramers_allowed
+from oracles import kramers_allowed, reduction_multiplicity
 
 PAR = Polarization.parallel_c()
 PERP = Polarization.perpendicular_c()
@@ -178,6 +187,84 @@ class TestVerdictConsistency:
                     fwd = direct_verdict(TransitionQuery(g, i, f, pol))
                     back = direct_verdict(TransitionQuery(g, f, i, pol))
                     assert fwd.group_theory_allowed == back.group_theory_allowed
+
+
+# every dipole dipole_rep returns: in C1h E par c, E perp c, azimuth 0, 90 and oblique
+POLARIZATIONS = (PAR, PERP, Polarization.in_plane(0.0), Polarization.in_plane(90.0),
+                 Polarization.in_plane(37.0))
+
+
+def _parent_allowed(g, initial, final, dipole, phonon=None):
+    """The trivial-irrep form: conj(final) x [phonon] x dipole x initial contains it."""
+    factors = [g.rep(final).conjugate(), dipole, g.rep(initial)]
+    if phonon is not None:
+        factors.insert(1, g.rep(phonon))
+    return contains_trivial(tensor_product(*factors))
+
+
+def _float_allowed(g, initial, final, dipole, phonon=None):
+    chars = [complex(a) * complex(b) for a, b in zip(dipole.characters, g.rep(initial).characters)]
+    if phonon is not None:
+        chars = [c * complex(p) for c, p in zip(chars, g.rep(phonon).characters)]
+    finals = [complex(c) for c in g.rep(final).characters]
+    return reduction_multiplicity(g.class_sizes, chars, finals, g.order).real > 0.5
+
+
+class TestFinalInDipoleTimesInitial:
+    """final in dipole x initial (x phonon) decides exactly what the trivial-irrep form did."""
+
+    @pytest.mark.parametrize("name", BUILTIN_GROUPS)
+    def test_every_query_matches_the_trivial_irrep_form(self, name):
+        g = builtin_group(name)
+        labels = g.irrep_labels()
+        for initial, final, pol in itertools.product(labels, labels, POLARIZATIONS):
+            dipole = dipole_rep(g, pol)
+            direct = _parent_allowed(g, initial, final, dipole)
+            assert direct == _float_allowed(g, initial, final, dipole)
+            q = TransitionQuery(g, initial, final, pol)
+            assert direct_verdict(q) == Verdict(direct, True)
+            for label in labels:
+                allowed = _parent_allowed(g, initial, final, dipole, label)
+                assert allowed == _float_allowed(g, initial, final, dipole, label)
+                phonons = ([PhononMode.c3v(label)] if name == "C3v"
+                           else [PhononMode(label, axis) for axis in DisplacementAxis])
+                for phonon in phonons:
+                    q = TransitionQuery(g, initial, final, pol, phonon)
+                    along_c = phonon.displacement_axis is DisplacementAxis.ALONG_C
+                    couples = along_c == (pol.kind is PolarizationKind.PARALLEL_C)
+                    assert phonon_assisted_verdict(q, Policy.GROUP_THEORY_ONLY) == Verdict(
+                        allowed, True)
+                    assert phonon_assisted_verdict(q) == Verdict(allowed, direct or couples)
+
+    def test_kramers_matches_the_trivial_irrep_form(self):
+        g = builtin_group("C3v_double")
+        levels = list(KramersLevel)
+        for i, f, pol in itertools.product(levels, levels, (PAR, PERP)):
+            dipole = dipole_rep(g, pol)
+            allowed = any(_parent_allowed(g, a, b, dipole)
+                          for a in i.sublevel_irreps for b in f.sublevel_irreps)
+            assert kramers_verdict(i, f, pol) == Verdict(allowed, True)
+
+
+class TestUnknownStateLabel:
+    MESSAGE = "group C3v has no irrep 'X' (valid: A1, A2, E)"
+
+    @pytest.mark.parametrize("initial, final", [("X", "E"), ("A2", "X")],
+                             ids=["initial", "final"])
+    def test_direct_verdict(self, initial, final):
+        q = TransitionQuery(builtin_group("C3v"), initial, final, PAR)
+        with pytest.raises(UnknownGroupError) as excinfo:
+            direct_verdict(q)
+        assert str(excinfo.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("initial, final", [("X", "E"), ("A2", "X")],
+                             ids=["initial", "final"])
+    def test_phonon_assisted_verdict(self, initial, final, policy):
+        q = TransitionQuery(builtin_group("C3v"), initial, final, PAR, PhononMode.c3v("E"))
+        with pytest.raises(UnknownGroupError) as excinfo:
+            phonon_assisted_verdict(q, policy)
+        assert str(excinfo.value) == self.MESSAGE
 
 
 class TestKramersVerdict:
