@@ -61,6 +61,8 @@ class PointGroupTable(NamedTuple):
     class_labels: tuple[str, ...]
     class_sizes: tuple[int, ...]
     irreps: tuple[Irrep, ...]
+    # irrep labels of the electric field along c, x (in the mirror plane) and y
+    field: tuple[str, str, str] | None = None
 
     @property
     def n_classes(self) -> int:
@@ -151,8 +153,8 @@ class Multiplicities(FrozenSlots):
 
 
 def _parse_table_text(text: str) -> PointGroupTable:
-    name = None
-    order = None
+    name = order = field = None
+    single_lines: dict[str, int] = {}  # keyword -> its line number
     class_labels: list[str] = []
     class_sizes: list[int] = []
     irreps: list[tuple[int, Irrep]] = []  # (line number, irrep)
@@ -160,6 +162,10 @@ def _parse_table_text(text: str) -> PointGroupTable:
     for lineno, tokens in reader:
         key = tokens[0]
         try:
+            if key in ("group", "order", "field"):
+                if key in single_lines:
+                    raise ValueError(f"{key!r} line is repeated")
+                single_lines[key] = lineno
             if key == "group":
                 name = tokens[1]
             elif key == "order":
@@ -175,6 +181,10 @@ def _parse_table_text(text: str) -> PointGroupTable:
                     raise ValueError(f"irrep label {label!r} is repeated")
                 chars = tuple(parse_scalar(t) for t in tokens[4:])
                 irreps.append((lineno, Irrep(label, dim, kind, chars)))
+            elif key == "field":
+                if len(tokens) != 4:
+                    raise ValueError(f"field names 3 irreps (along c, x, y), got {len(tokens) - 1}")
+                field = tuple(tokens[1:])
             else:
                 raise ValueError(f"unknown keyword {key!r}")
         except IndexError as exc:
@@ -190,8 +200,22 @@ def _parse_table_text(text: str) -> PointGroupTable:
                 f"irrep {ir.label}: {len(ir.characters)} characters for "
                 f"{len(class_labels)} classes",
             ))
+    if field is not None:
+        known = {ir.label: ir for _, ir in irreps}
+        unknown = [label for label in field if label not in known]
+        if unknown:
+            raise TableFormatError(reader.locate(
+                single_lines["field"], f"field irrep {unknown[0]!r} is not in the table"))
+        if any(known[label].kind != "single" for label in field):
+            raise TableFormatError(reader.locate(
+                single_lines["field"], "field irreps must be single-valued, not 'extra'"))
+        span = known[field[0]].dim + sum(known[label].dim for label in set(field[1:]))
+        if span != 3:
+            raise TableFormatError(reader.locate(
+                single_lines["field"], f"field irreps span {span} dimensions, not 3"))
     return PointGroupTable(
-        name, order, tuple(class_labels), tuple(class_sizes), tuple(ir for _, ir in irreps)
+        name, order, tuple(class_labels), tuple(class_sizes),
+        tuple(ir for _, ir in irreps), field,
     )
 
 

@@ -4,10 +4,11 @@ The matrix-element criterion is: a dipole transition can be nonzero only
 if final occurs in dipole x initial (x phonon, when one assists).  That
 multiplicity, (1/|G|) sum_c n_c chi_D chi_i conj(chi_f), is also the
 multiplicity of the trivial irrep in conj(final) x dipole x initial, so
-both forms give the same verdict.  On top of that sits a physical-coupling
-rule: light cannot excite a phonon whose atomic displacements are
-orthogonal to its electric field, which demotes one formally-allowed
-entry of the axial-triplet table to "physically forbidden".
+both forms give the same verdict.  The dipole comes from the table's
+field irreps, never from a group's name.  On top of that sits a
+physical-coupling rule: light cannot excite a phonon whose atomic
+displacements are orthogonal to its electric field, which demotes one
+formally-allowed entry of the axial-triplet table to "physically forbidden".
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class Polarization(NamedTuple):
     """Electric-field direction of the light relative to the crystal c-axis.
 
     ``in_plane(azimuth)`` measures the basal-plane angle from the defect
-    mirror plane; it is meaningful only for C1h queries.
+    mirror plane (x); it matters where the x and y field irreps differ.
     """
 
     kind: PolarizationKind
@@ -124,34 +125,28 @@ class Policy(enum.Enum):
 def dipole_rep(group: PointGroupTable, pol: Polarization) -> RepVector:
     """Representation of the dipole operator for the given polarization.
 
-    For the C1h basal geometry the mirror plane contains the c-axis and
-    the defect axis, so the parallel-to-c field transforms as A'; a
-    generic in-plane field spans A' + A''.  A non-finite azimuth is a
-    GroupError in every group.
+    Read from the table's field irreps along c, x (azimuth 0) and y
+    (azimuth 90); any other in-plane field, and E perp c, holds both x
+    and y.  No field line, an in-plane field without an azimuth and a
+    non-finite azimuth are GroupErrors.
     """
-    azimuth = pol.azimuth_deg or 0.0
-    if not math.isfinite(azimuth):
+    azimuth = pol.azimuth_deg
+    if azimuth is not None and not math.isfinite(azimuth):
         raise GroupError(f"in-plane azimuth must be finite, got {azimuth}")
-    name = group.name
-    if name in ("C3v", "C3v_double"):
-        if pol.kind is PolarizationKind.PARALLEL_C:
-            return group.rep("A1")
-        # every in-plane direction is equivalent under C3v
-        return group.rep("E")
-    if name == "C1h":
-        if pol.kind is PolarizationKind.PARALLEL_C:
-            return group.rep("A'")
-        if pol.kind is PolarizationKind.PERPENDICULAR_C:
-            # unspecified azimuth: the full 2-dim in-plane vector rep
-            return _sum_rep(group.rep("A'"), group.rep("A''"))
-        azimuth %= 180.0
-        if azimuth == 0.0:
-            return group.rep("A'")
-        if azimuth == 90.0:
-            return group.rep("A''")
-        # oblique in-plane field has components of both mirror parities
-        return _sum_rep(group.rep("A'"), group.rep("A''"))
-    raise GroupError(f"unsupported polarization/group combination: {name}, {pol.kind}")
+    if group.field is None:
+        raise GroupError(f"table {group.name} has no field line, so no dipole")
+    along_c, along_x, along_y = group.field
+    if pol.kind is PolarizationKind.PARALLEL_C:
+        return group.rep(along_c)
+    if pol.kind is PolarizationKind.IN_PLANE_ANGLE:
+        if azimuth is None:
+            raise GroupError("an in-plane polarization needs an azimuth")
+        axis = {0.0: along_x, 90.0: along_y}.get(azimuth % 180.0)
+        if axis is not None:
+            return group.rep(axis)
+    if along_x == along_y:
+        return group.rep(along_x)
+    return _sum_rep(group.rep(along_x), group.rep(along_y))
 
 
 def _sum_rep(a: RepVector, b: RepVector) -> RepVector:

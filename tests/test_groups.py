@@ -1,5 +1,6 @@
 import itertools
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -397,6 +398,7 @@ class TestTableFormat:
         irrep A1 1 single 1 1 1
         irrep A2 1 single 1 1 -1
         irrep E 2 single 2 -1 0
+        field A1 E E
         """
         table = load_table(text)
         assert table == builtin_group("C3v")
@@ -456,3 +458,48 @@ class TestTableFormat:
         broken = builtin_group("C3v")._replace(class_sizes=(1, 0, 3))
         failed = {c.name for c in verify_table(broken) if not c.passed}
         assert {"class-size-sum", "column-orthogonality"} <= failed
+
+    def test_malformed_scalar_is_table_format_error_at_its_line(self):
+        lines = list(self.C3V_LINES)
+        lines[6] = "irrep A2 1 single 1 1 i2"
+        with pytest.raises(TableFormatError, match="table: line 7: malformed scalar 'i2'"):
+            load_table("\n".join(lines))
+
+    @pytest.mark.parametrize("repeat", ["group C1h", "order 6", "field A1 E E"])
+    def test_repeated_single_keyword_is_table_format_error_at_the_repeat(self, repeat):
+        # the last line once won silently: a second group line renamed the table
+        lines = self.C3V_LINES + ["field A1 E E", repeat]
+        keyword = repeat.split()[0]
+        with pytest.raises(TableFormatError, match=f"table: line 10: '{keyword}' line is repeated"):
+            load_table("\n".join(lines))
+
+    def test_field_line_is_read(self):
+        lines = self.C3V_LINES[:2] + ["field A1 E E"] + self.C3V_LINES[2:]
+        assert load_table("\n".join(lines)).field == ("A1", "E", "E")
+        assert load_table("\n".join(self.C3V_LINES)).field is None
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("field A1 E", "field names 3 irreps"),
+            ("field A1 E E E", "field names 3 irreps"),
+            ("field A1 T1 E", "field irrep 'T1' is not in the table"),
+            ("field A1 A2 E", "field irreps span 4 dimensions, not 3"),
+            ("field A1 A2 A2", "field irreps span 2 dimensions, not 3"),
+            ("field E E E", "field irreps span 4 dimensions, not 3"),
+        ],
+    )
+    def test_bad_field_line_is_table_format_error_at_its_line(self, bad, message):
+        # the labels are checked after the irreps are read, yet located at line 3
+        lines = self.C3V_LINES[:2] + [bad] + self.C3V_LINES[2:]
+        with pytest.raises(TableFormatError, match=f"table: line 3: {message}"):
+            load_table("\n".join(lines))
+
+    def test_extra_field_irrep_is_table_format_error_at_its_line(self):
+        # a light field is single-valued: an E1/2 field once gave A2 -> E1/2 "allowed"
+        text = resources.files("sicpl.data").joinpath("c3v_double.grp").read_text()
+        lines = text.replace("field A1 E E", "field A1 E1/2 E1/2").splitlines()
+        lineno = next(n for n, line in enumerate(lines, 1) if line.startswith("field"))
+        with pytest.raises(TableFormatError,
+                           match=f"table: line {lineno}: field irreps must be single-valued"):
+            load_table("\n".join(lines))

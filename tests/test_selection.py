@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from sicpl.groups import (
@@ -9,6 +10,7 @@ from sicpl.groups import (
     builtin_group,
     contains_trivial,
     decompose,
+    load_table,
     tensor_product,
 )
 from sicpl.selection import (
@@ -29,7 +31,13 @@ from sicpl.selection import (
     selection_table,
 )
 
-from oracles import kramers_allowed, reduction_multiplicity
+from oracles import (
+    c3v_matrices,
+    class_character,
+    conjugacy_classes,
+    kramers_allowed,
+    reduction_multiplicity,
+)
 
 PAR = Polarization.parallel_c()
 PERP = Polarization.perpendicular_c()
@@ -68,6 +76,100 @@ class TestDipoleRep:
             dipole_rep(g, pol)
         initial, final = g.irreps[0].label, g.irreps[-1].label
         with pytest.raises(GroupError, match="azimuth must be finite"):
+            direct_verdict(TransitionQuery(g, initial, final, pol))
+
+
+def _vector_matrices(name):
+    """3x3 matrices on (x, y, c): the C3v plane matrices fix c; the C1h mirror is y -> -y."""
+    if name == "C3v":
+        return [np.block([[m, np.zeros((2, 1))], [np.zeros((1, 2)), np.ones((1, 1))]])
+                for m in c3v_matrices()]
+    return [np.eye(3), np.diag([1.0, -1.0, 1.0])]
+
+
+def _float_counts(g, chars):
+    return {ir.label: round(reduction_multiplicity(
+        g.class_sizes, chars, [complex(c) for c in ir.characters], g.order).real)
+        for ir in g.irreps}
+
+
+# a C1h table under other names: the dipole follows its own field line
+MIRROR_TEXT = """
+group Mirror
+order 2
+class E 1
+class s 1
+irrep even 1 single 1 1
+irrep odd 1 single 1 -1
+field even even odd
+"""
+
+
+class TestFieldLine:
+    @pytest.mark.parametrize("name", ["C3v", "C1h"])
+    def test_field_is_the_vector_representation(self, name):
+        g = builtin_group(name)
+        mats = _vector_matrices(name)
+        classes = sorted(conjugacy_classes(mats), key=len)
+        assert tuple(len(c) for c in classes) == g.class_sizes
+        vector = _float_counts(g, class_character(mats, classes, np.trace))
+        # rep(C) plus the distinct in-plane irreps: A1 + E, 2A' + A''
+        along_c, along_x, along_y = g.field
+        expected = dict.fromkeys(g.irrep_labels(), 0)
+        for label in (along_c, *{along_x, along_y}):
+            expected[label] += 1
+        assert vector == expected
+        assert vector == {"C3v": {"A1": 1, "A2": 0, "E": 1},
+                          "C1h": {"A'": 2, "A''": 1}}[name]
+        along_c_chars = class_character(mats, classes, lambda m: m[2, 2])
+        assert _float_counts(g, along_c_chars) == decompose(dipole_rep(g, PAR)).counts
+
+    def test_c1h_in_plane_axes_are_the_x_and_y_components(self):
+        g = builtin_group("C1h")
+        mats = _vector_matrices("C1h")
+        classes = [[0], [1]]
+        for axis, azimuth in ((0, 0.0), (1, 90.0)):
+            chars = class_character(mats, classes, lambda m: m[axis, axis])
+            dipole = dipole_rep(g, Polarization.in_plane(azimuth))
+            assert _float_counts(g, chars) == decompose(dipole).counts
+
+    @pytest.mark.parametrize("azimuth", [0.0, 90.0, 37.0])
+    def test_double_group_in_plane(self, azimuth):
+        g = builtin_group("C3v_double")
+        assert dipole_rep(g, Polarization.in_plane(azimuth)) == g.rep("E")
+
+    def test_relabelled_table_reads_its_own_field(self):
+        g = load_table(MIRROR_TEXT)
+        assert dipole_rep(g, PAR) == g.rep("even")
+        assert dipole_rep(g, Polarization.in_plane(0.0)) == g.rep("even")
+        assert dipole_rep(g, Polarization.in_plane(90.0)) == g.rep("odd")
+        assert decompose(dipole_rep(g, PERP)).counts == {"even": 1, "odd": 1}
+        c1h = builtin_group("C1h")
+        names = {"even": "A'", "odd": "A''"}
+        for i, f, pol in itertools.product(names, names, POLARIZATIONS):
+            assert direct_verdict(TransitionQuery(g, i, f, pol)) == direct_verdict(
+                TransitionQuery(c1h, names[i], names[f], pol))
+
+    def test_table_without_field_line_has_no_dipole(self):
+        # named C3v, but really C1h: no dipole is read from the name
+        g = load_table("group C3v\norder 2\nclass E 1\nclass s 1\n"
+                       "irrep A1 1 single 1 1\nirrep E 1 single 1 -1\n")
+        for pol in (PAR, PERP, Polarization.in_plane(37.0)):
+            with pytest.raises(GroupError, match="table C3v has no field line"):
+                dipole_rep(g, pol)
+            with pytest.raises(GroupError, match="no field line"):
+                direct_verdict(TransitionQuery(g, "A1", "E", pol))
+
+    @pytest.mark.parametrize("name", BUILTIN_GROUPS)
+    @pytest.mark.parametrize(
+        "pol", [Polarization(PolarizationKind.IN_PLANE_ANGLE), Polarization.in_plane(None)])
+    def test_in_plane_without_azimuth_is_group_error(self, name, pol):
+        # it once read as azimuth 0, so C1h answered A'
+        g = builtin_group(name)
+        with pytest.raises(GroupError, match="in-plane polarization needs an azimuth"):
+            dipole_rep(g, pol)
+        initial, final = g.irreps[0].label, g.irreps[-1].label
+        with pytest.raises(GroupError, match="needs an azimuth"):
             direct_verdict(TransitionQuery(g, initial, final, pol))
 
 

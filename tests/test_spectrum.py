@@ -426,6 +426,16 @@ class TestDebyeWaller:
         with pytest.raises(SpectrumError):
             debye_waller(spec, zpl, (900.0, 1200.0))
 
+    def test_window_without_two_grid_points_rejected(self):
+        spec = Spectrum(np.array([0.0, 1.0, 2.0, 3.0]), np.ones(4))
+        with pytest.raises(SpectrumError, match="fewer than two grid points"):
+            debye_waller(spec, (0.2, 0.3), (0.0, 3.0))
+
+    def test_band_without_intensity_rejected(self):
+        spec = Spectrum(np.array([0.0, 1.0, 2.0, 3.0]), np.zeros(4))
+        with pytest.raises(SpectrumError, match="band window has no intensity"):
+            debye_waller(spec, (1.0, 2.0), (0.0, 3.0))
+
     @pytest.mark.parametrize("order", [[0, 2, 1, 3], [0, 1, 1, 3], [3, 2, 1, 0]])
     def test_energies_not_strictly_ascending_rejected(self, order):
         energy = np.array([1000.0, 1001.0, 1002.0, 1003.0])[order]
@@ -595,6 +605,10 @@ class TestClassifyGeometry:
             classify_geometry(AngularModel(1.0, 0.999), ScanPlane.IN_PLANE)
             is Geometry.BASAL
         )
+
+    def test_in_plane_zero_amplitude_is_basal(self):
+        # no peak to compare a floor with: nothing lights up in the plane
+        assert classify_geometry(AngularModel(0.0, 0.5), ScanPlane.IN_PLANE) is Geometry.BASAL
 
 
 class TestEnsembleAverage:
