@@ -182,8 +182,6 @@ def _parse_table_text(text: str) -> PointGroupTable:
                 chars = tuple(parse_scalar(t) for t in tokens[4:])
                 irreps.append((lineno, Irrep(label, dim, kind, chars)))
             elif key == "field":
-                if len(tokens) != 4:
-                    raise ValueError(f"field names 3 irreps (along c, x, y), got {len(tokens) - 1}")
                 field = tuple(tokens[1:])
             else:
                 raise ValueError(f"unknown keyword {key!r}")
@@ -200,23 +198,36 @@ def _parse_table_text(text: str) -> PointGroupTable:
                 f"irrep {ir.label}: {len(ir.characters)} characters for "
                 f"{len(class_labels)} classes",
             ))
-    if field is not None:
-        known = {ir.label: ir for _, ir in irreps}
-        unknown = [label for label in field if label not in known]
-        if unknown:
-            raise TableFormatError(reader.locate(
-                single_lines["field"], f"field irrep {unknown[0]!r} is not in the table"))
-        if any(known[label].kind != "single" for label in field):
-            raise TableFormatError(reader.locate(
-                single_lines["field"], "field irreps must be single-valued, not 'extra'"))
-        span = known[field[0]].dim + sum(known[label].dim for label in set(field[1:]))
-        if span != 3:
-            raise TableFormatError(reader.locate(
-                single_lines["field"], f"field irreps span {span} dimensions, not 3"))
+    table_irreps = tuple(ir for _, ir in irreps)
+    problem = _field_problem(field, table_irreps)
+    if problem:
+        raise TableFormatError(reader.locate(single_lines["field"], problem))
     return PointGroupTable(
-        name, order, tuple(class_labels), tuple(class_sizes),
-        tuple(ir for _, ir in irreps), field,
+        name, order, tuple(class_labels), tuple(class_sizes), table_irreps, field
     )
+
+
+def _field_problem(field: tuple[str, ...] | None, irreps) -> str | None:
+    """Why ``field`` cannot name the light field's irreps, or None if it can.
+
+    A field names three single-valued irreps of the table (along c, x and
+    y) whose dimensions, c plus the distinct in-plane irreps, add up to 3.
+    No field at all is fine: the table then has no dipole.
+    """
+    if field is None:
+        return None
+    if len(field) != 3:
+        return f"field names 3 irreps (along c, x, y), got {len(field)}"
+    known = {ir.label: ir for ir in irreps}
+    unknown = [label for label in field if label not in known]
+    if unknown:
+        return f"field irrep {unknown[0]!r} is not in the table"
+    if any(known[label].kind != "single" for label in field):
+        return "field irreps must be single-valued, not 'extra'"
+    span = known[field[0]].dim + sum(known[label].dim for label in set(field[1:]))
+    if span != 3:
+        return f"field irreps span {span} dimensions, not 3"
+    return None
 
 
 def _positive_int(token: str, what: str) -> int:
@@ -268,6 +279,21 @@ def _inner(sizes, xs, ys) -> tuple[int, int]:
     return re, im
 
 
+def _gram(sizes, vectors) -> list[list[tuple[int, int]]]:
+    """``_inner(sizes, x, y)`` for every ordered pair of ``vectors``.
+
+    Each unordered pair is summed once: the weights are real, so
+    <y, x> = conj(<x, y>).
+    """
+    gram = [[(0, 0)] * len(vectors) for _ in vectors]
+    for i, x in enumerate(vectors):
+        for j in range(i, len(vectors)):
+            re, im = _inner(sizes, x, vectors[j])
+            gram[i][j] = re, im
+            gram[j][i] = re, -im
+    return gram
+
+
 def verify_table(table: PointGroupTable) -> list[Check]:
     """Run every structural invariant; failures are reported, not raised."""
     checks: list[Check] = []
@@ -315,43 +341,50 @@ def verify_table(table: PointGroupTable) -> list[Check]:
             )
         )
 
-    row_ok = True
-    row_detail = ""
+    gram = _gram(table.class_sizes, [ir.characters for ir in table.irreps])
+    failed = None
     for i, a in enumerate(table.irreps):
         for j, b in enumerate(table.irreps):
-            re, im = _inner(table.class_sizes, a.characters, b.characters)
             expected = table.order if i == j else 0
-            if (re, im) != (expected, 0):
-                row_ok = False
-                row_detail = (
-                    f"<{a.label},{b.label}> = {GaussianRational(re, im)}, expected {expected}"
-                )
-    checks.append(Check("row-orthogonality", row_ok, row_detail))
+            if gram[i][j] != (expected, 0):
+                failed = a.label, b.label, gram[i][j], expected
+    row_detail = ""
+    if failed:
+        a_label, b_label, (re, im), expected = failed
+        row_detail = f"<{a_label},{b_label}> = {GaussianRational(re, im)}, expected {expected}"
+    checks.append(Check("row-orthogonality", failed is None, row_detail))
 
     # columns exist only if every irrep has one character per class
     col_ok = all(len(ir.characters) == table.n_classes for ir in table.irreps)
     col_detail = "" if col_ok else "an irrep does not have one character per class"
     classes = range(table.n_classes if col_ok else 0)
     columns = [[ir.characters[c] for ir in table.irreps] for c in classes]
-    ones = [1] * len(table.irreps)
+    gram = _gram([1] * len(table.irreps), columns)
+    failed = None
     for c1 in classes:
+        # n_c * sum = |G| on the diagonal: no division, so a class of size 0 fails
+        n_c = table.class_sizes[c1]
         for c2 in classes:
-            re, im = _inner(ones, columns[c1], columns[c2])
-            # n_c * sum = |G| on the diagonal: no division, so a class of size 0 fails
-            n_c = table.class_sizes[c1]
+            re, im = gram[c1][c2]
             expected = table.order if c1 == c2 else 0
             if (n_c * re, n_c * im) != (expected, 0):
-                col_ok = False
-                col_detail = (
-                    f"columns {table.class_labels[c1]},{table.class_labels[c2]}: "
-                    f"{n_c} x {GaussianRational(re, im)}, expected {expected}"
-                )
+                failed = c1, c2, n_c, re, im, expected
+    if failed:
+        c1, c2, n_c, re, im, expected = failed
+        col_ok = False
+        col_detail = (
+            f"columns {table.class_labels[c1]},{table.class_labels[c2]}: "
+            f"{n_c} x {GaussianRational(re, im)}, expected {expected}"
+        )
     checks.append(Check("column-orthogonality", col_ok, col_detail))
 
     trivials = [ir.label for ir in table.irreps if ir.is_trivial]
     checks.append(
         Check("unique-trivial", len(trivials) == 1, f"trivial irreps: {trivials}")
     )
+
+    problem = _field_problem(table.field, table.irreps)
+    checks.append(Check("field", problem is None, problem or ""))
     return checks
 
 

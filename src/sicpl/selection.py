@@ -187,16 +187,24 @@ def phonon_assisted_verdict(
     """
     if q.phonon is None:
         raise GroupError("phonon_assisted_verdict requires a phonon")
-    group = q.group
-    # dipole x initial, shared by the phonon product and the direct check
-    reached = tensor_product(dipole_rep(group, q.polarization), group.rep(q.initial))
-    allowed = _reaches(tensor_product(reached, group.rep(q.phonon.irrep_label)), q.final)
+    reached = tensor_product(dipole_rep(q.group, q.polarization), q.group.rep(q.initial))
+    return _phonon_rule(reached, q.final, q.polarization, q.phonon, policy)
+
+
+def _phonon_rule(reached: RepVector, final: str, pol: Polarization, phonon: PhononMode,
+                 policy: Policy, direct_allowed: bool | None = None) -> Verdict:
+    """The phonon verdict from ``reached`` = dipole x initial.
+
+    ``reached`` serves both the phonon product and the direct check; the
+    latter is decomposed only when the physical policy needs it and the
+    caller did not pass the same-polarization ``direct_allowed``.
+    """
+    allowed = _reaches(tensor_product(reached, reached.group.rep(phonon.irrep_label)), final)
     if policy is Policy.GROUP_THEORY_ONLY:
         return Verdict(allowed, physical_coupling=True)
-    direct_allowed = _reaches(reached, q.final)
-    coupling = direct_allowed or _pol_couples_to_axis(
-        q.polarization, q.phonon.displacement_axis
-    )
+    if direct_allowed is None:
+        direct_allowed = _reaches(reached, final)
+    coupling = direct_allowed or _pol_couples_to_axis(pol, phonon.displacement_axis)
     return Verdict(allowed, coupling)
 
 
@@ -298,7 +306,10 @@ def selection_table(
     """Regenerate the full verdict grid for one defect class.
 
     Row order is fixed (perpendicular first, then parallel) and columns
-    run ZPL, A1-, A2-, E-phonon, so serialization is byte-stable.
+    run ZPL, A1-, A2-, E-phonon, so serialization is byte-stable.  Each
+    entry is the verdict ``direct_verdict`` or ``phonon_assisted_verdict``
+    gives for its query, but a row builds its dipole x initial once for
+    its three phonon columns, and their direct check is the ZPL verdict.
     """
     group = builtin_group("C3v")
     initial, final = _DEFECT_STATES[defect_class]
@@ -307,9 +318,12 @@ def selection_table(
         ("E_perp_c", Polarization.perpendicular_c()),
         ("E_par_c", Polarization.parallel_c()),
     ):
-        verdicts = [direct_verdict(TransitionQuery(group, initial, final, pol))]
-        for ph in PHONON_COLUMNS:
-            q = TransitionQuery(group, initial, final, pol, PhononMode.c3v(ph))
-            verdicts.append(phonon_assisted_verdict(q, policy))
-        rows.append((row_label, tuple(verdicts)))
+        zpl = direct_verdict(TransitionQuery(group, initial, final, pol))
+        reached = tensor_product(dipole_rep(group, pol), group.rep(initial))
+        phonons = tuple(
+            _phonon_rule(reached, final, pol, PhononMode.c3v(ph), policy,
+                         zpl.group_theory_allowed)
+            for ph in PHONON_COLUMNS
+        )
+        rows.append((row_label, (zpl,) + phonons))
     return SelectionTable(defect_class, policy, tuple(rows))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sicpl.exact import GaussianRational, parse_scalar
 from sicpl.groups import (
     BUILTIN_GROUPS,
+    Check,
     GroupError,
     GroupMismatchError,
     Irrep,
@@ -157,6 +158,24 @@ class TestVerifyTable:
         report = {check.name: check.passed for check in verify_table(table)}
         expected = orthogonality(sizes, [[complex(x) for x in row] for row in rows], g.order)
         assert (report["row-orthogonality"], report["column-orthogonality"]) == expected
+
+    @pytest.mark.parametrize(
+        "name, field, detail",
+        [
+            # passed every check once, and gave an oblique in-plane field the dipole A2 + E
+            ("C3v", ("A1", "A2", "E"), "field irreps span 4 dimensions, not 3"),
+            ("C3v", ("A1", "E"), "field names 3 irreps (along c, x, y), got 2"),
+            ("C3v", ("A1", "T1", "E"), "field irrep 'T1' is not in the table"),
+            ("C3v_double", ("A1", "E1/2", "E1/2"),
+             "field irreps must be single-valued, not 'extra'"),
+            ("C3v", None, ""),
+            ("C1h", ("A'", "A'", "A''"), ""),
+        ],
+    )
+    def test_field_is_verified(self, name, field, detail):
+        table = builtin_group(name)._replace(field=field)
+        report = {c.name: c for c in verify_table(table)}
+        assert report["field"] == Check("field", not detail, detail)
 
     @pytest.mark.parametrize("characters", [(2, -1), ()], ids=["short", "empty"])
     def test_missing_characters_are_reported_not_raised(self, characters):
@@ -458,6 +477,60 @@ class TestTableFormat:
         broken = builtin_group("C3v")._replace(class_sizes=(1, 0, 3))
         failed = {c.name for c in verify_table(broken) if not c.passed}
         assert {"class-size-sum", "column-orthogonality"} <= failed
+
+    @pytest.mark.parametrize(
+        "sizes, details",
+        [
+            ((1, 0, 3), {
+                "class-size-sum": "sum of class sizes 4 vs order 6",
+                "row-orthogonality": "<E,E> = 4, expected 6",
+                "column-orthogonality": "columns 2C3,2C3: 0 x 3, expected 6",
+            }),
+            ((1, -2, 3), {
+                "class-size-sum": "sum of class sizes 2 vs order 6",
+                "row-orthogonality": "<E,E> = 2, expected 6",
+                "column-orthogonality": "columns 2C3,2C3: -2 x 3, expected 6",
+            }),
+        ],
+        ids=["zero", "negative"],
+    )
+    def test_bad_class_size_details_are_pinned(self, sizes, details):
+        broken = builtin_group("C3v")._replace(class_sizes=sizes)
+        assert {c.name: c.detail for c in verify_table(broken) if not c.passed} == details
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            # an all-zero extra irrep: only the rows see it
+            (C3V_LINES + ["irrep Z 1 single 0 0 0"],
+             "table C3v failed verification: dimension-sum: sum of squared dims 7 vs order 6; "
+             "class-count: 4 irreps vs 3 classes; identity-character[Z]: chi(E)=0 vs dim 1; "
+             "row-orthogonality: <Z,Z> = 0, expected 6"),
+            # A2 missing: the rows stay orthogonal, the columns do not
+            (C3V_LINES[:6] + C3V_LINES[7:],
+             "table C3v failed verification: dimension-sum: sum of squared dims 5 vs order 6; "
+             "class-count: 2 irreps vs 3 classes; "
+             "column-orthogonality: columns 3sv,3sv: 3 x 1, expected 6"),
+        ],
+        ids=["row-only", "column"],
+    )
+    def test_verification_message_is_pinned(self, lines, message):
+        with pytest.raises(GroupError) as info:
+            load_table("\n".join(lines))
+        assert str(info.value) == message
+
+    def test_last_of_several_failing_pairs_is_reported(self):
+        # one character of 1E3/2 changed from i to 1 breaks many pairs; the last is named
+        text = resources.files("sicpl.data").joinpath("c3v_double.grp").read_text()
+        text = text.replace("irrep 1E3/2 1 extra 1 -1 -1 1 i -i",
+                            "irrep 1E3/2 1 extra 1 -1 -1 1 1 -i")
+        with pytest.raises(GroupError) as info:
+            load_table(text)
+        assert str(info.value) == (
+            "table C3v_double failed verification: "
+            "row-orthogonality: <2E3/2,1E3/2> = 3-3i, expected 0; "
+            "column-orthogonality: columns 3svR,3sv: 3 x 1-i, expected 0"
+        )
 
     def test_malformed_scalar_is_table_format_error_at_its_line(self):
         lines = list(self.C3V_LINES)

@@ -442,6 +442,48 @@ class TestSelectionTable:
             "E_par_c\tF\tF\tF\tA*"
         )
 
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("defect_class", list(DefectClass))
+    def test_every_entry_is_its_query_verdict(self, defect_class, policy):
+        # the table shares each row's dipole x initial; its entries may not drift
+        g = builtin_group("C3v")
+        table = selection_table(defect_class, policy)
+        initial, final = {DefectClass.TRIPLET_AXIAL: ("A2", "E"),
+                          DefectClass.VSI_SINGLE_GROUP: ("A2", "A2")}[defect_class]
+        pols = {"E_perp_c": PERP, "E_par_c": PAR}
+        assert [label for label, _ in table.rows] == list(pols)
+        for label, verdicts in table.rows:
+            pol = pols[label]
+            expected = [direct_verdict(TransitionQuery(g, initial, final, pol))] + [
+                phonon_assisted_verdict(
+                    TransitionQuery(g, initial, final, pol, PhononMode.c3v(ph)), policy)
+                for ph in ("A1", "A2", "E")
+            ]
+            assert list(verdicts) == expected
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_panel_builds_each_row_product_once(self, policy, monkeypatch):
+        # per row: the ZPL verdict's product and decomposition, one shared
+        # dipole x initial, and one product and decomposition per phonon
+        import sicpl.selection as selection
+
+        calls = {"tensor_product": 0, "decompose": 0}
+
+        def counted(name):
+            real = getattr(selection, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(selection, name, counted(name))
+        for defect_class in DefectClass:
+            calls.update(tensor_product=0, decompose=0)
+            selection_table(defect_class, policy)
+            assert calls == {"tensor_product": 10, "decompose": 8}
+
     def test_json_serialization(self):
         import json
 
