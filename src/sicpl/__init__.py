@@ -17,7 +17,6 @@ from .groups import (
     PointGroupTable,
     RepVector,
     builtin_group,
-    contains_trivial,
     decompose,
     load_table,
     tensor_product,

@@ -76,7 +76,7 @@ def _out_path(path: str) -> Path:
 
 
 def _laser(args) -> LaserConfig:
-    mode = LaserMode.RESONANT if getattr(args, "resonant", False) else LaserMode.NON_RESONANT
+    mode = LaserMode.RESONANT if args.resonant else LaserMode.NON_RESONANT
     # built first, so a bad --air-index fails whichever flag gives the laser
     medium = Medium.air(args.air_index)
     if args.laser_mev is not None:

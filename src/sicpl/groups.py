@@ -108,9 +108,6 @@ class RepVector(Checked, _RepVectorFields):
                 f"group {self.group.name} has {self.group.n_classes} classes"
             )
 
-    def conjugate(self) -> "RepVector":
-        return RepVector(self.group, tuple(GaussianRational(c.re, -c.im) for c in self.characters))
-
 
 class Multiplicities(FrozenSlots):
     """Decomposition of a representation into irrep multiplicities.
@@ -426,8 +423,3 @@ def decompose(rep: RepVector) -> Multiplicities:
             )
         counts[ir.label] = m
     return Multiplicities(table, counts)
-
-
-def contains_trivial(rep: RepVector) -> bool:
-    """True iff the class function contains the trivial irrep at least once."""
-    return decompose(rep)[rep.group.trivial_irrep.label] >= 1

@@ -155,9 +155,9 @@ def _sum_rep(a: RepVector, b: RepVector) -> RepVector:
     ))
 
 
-def _reaches(product: RepVector, final: str) -> bool:
-    """True iff ``final`` occurs in ``product`` (dipole x initial, x phonon if any)."""
-    return decompose(product)[final] >= 1
+def _reaches(product: RepVector, *finals: str) -> bool:
+    """True iff any of ``finals`` occurs in ``product`` (dipole x initial, x phonon if any)."""
+    return any(map(decompose(product).__getitem__, finals))
 
 
 def _pol_couples_to_axis(pol: Polarization, axis: DisplacementAxis) -> bool:
@@ -227,22 +227,17 @@ def kramers_verdict(
     """Direct-transition verdict between Kramers levels in the double group.
 
     Each level expands into its sublevel irreps; the transition is
-    allowed if any sublevel pair gives a nonzero matrix element.  Each
-    initial sublevel's dipole x initial is decomposed once and read for
-    every final sublevel.
+    allowed if any sublevel pair gives a nonzero matrix element.  The
+    dipole is real for E par c and E perp c, so conjugating a sublevel
+    pair conjugates its matrix element, and each level is closed under
+    conjugation (E1/2 is real; 1E3/2 and 2E3/2 are a conjugate pair).
+    So the initial level's first sublevel decides for its partner too.
     """
     if pol.kind is PolarizationKind.IN_PLANE_ANGLE:
         raise GroupError("kramers_verdict accepts only parallel/perpendicular polarization")
     group = builtin_group("C3v_double")
-    dip = dipole_rep(group, pol)
-    allowed = any(
-        reached[f] >= 1
-        for reached in (
-            decompose(tensor_product(dip, group.rep(i))) for i in initial.sublevel_irreps
-        )
-        for f in final.sublevel_irreps
-    )
-    return Verdict(allowed, physical_coupling=True)
+    reached = tensor_product(dipole_rep(group, pol), group.rep(initial.sublevel_irreps[0]))
+    return Verdict(_reaches(reached, *final.sublevel_irreps), physical_coupling=True)
 
 
 class DefectClass(enum.Enum):

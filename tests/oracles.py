@@ -2,6 +2,8 @@
 
 Everything here works from explicit matrices and element-wise sums in
 floating point, deliberately avoiding the library's exact-rational path.
+The one exact oracle, ``trivial_multiplicity``, runs on the characters'
+``int`` parts and uses nothing of ``groups`` but the table's data.
 """
 
 from __future__ import annotations
@@ -136,6 +138,27 @@ def reduction_multiplicity(
     for n, c, k in zip(class_sizes, rep_chars, irrep_chars):
         acc += n * c * np.conj(k)
     return acc / order
+
+
+def trivial_multiplicity(class_sizes, order, final, *factors) -> int:
+    """Exact multiplicity of the trivial irrep in conj(final) x factors.
+
+    Each argument after ``order`` is one character per class, with ``int``
+    ``re`` and ``im`` parts; ``final`` is conjugated by negating ``im``.
+    The characters multiply class by class as Gaussian integers, and the
+    n_c-weighted sum must divide by |G| to a non-negative integer.
+    """
+    total_re = total_im = 0
+    for c, n in enumerate(class_sizes):
+        re, im = final[c].re, -final[c].im
+        for chars in factors:
+            x = chars[c]
+            re, im = re * x.re - im * x.im, re * x.im + im * x.re
+        total_re += n * re
+        total_im += n * im
+    m, rem = divmod(total_re, order)
+    assert rem == 0 and total_im == 0 and m >= 0
+    return m
 
 
 def orthogonality(class_sizes, rows, order) -> tuple[bool, bool]:

@@ -184,7 +184,8 @@ class TestSelection:
         },
     }
 
-    @pytest.mark.parametrize("defect_class, policy", list(PANELS), ids="/".join)
+    @pytest.mark.parametrize("defect_class, policy", list(PANELS),
+                             ids=["/".join(k) for k in PANELS])
     def test_json_panel_is_pinned(self, capsys, defect_class, policy):
         code, out, err = run(capsys, "selection", defect_class, "--policy", policy,
                              "--format", "json")

@@ -21,7 +21,6 @@ from sicpl.groups import (
     TableFormatError,
     UnknownGroupError,
     builtin_group,
-    contains_trivial,
     decompose,
     load_table,
     tensor_product,
@@ -336,29 +335,11 @@ class TestMultiplicities:
         assert (mult["A1"], mult["A2"], mult["E"]) == (0, 0, 1)
 
 
-class TestContainsTrivial:
-    def test_paper_products(self):
-        g = builtin_group("C3v")
-        assert contains_trivial(tensor_product(g.rep("E"), g.rep("E"), g.rep("A2")))
-        assert not contains_trivial(tensor_product(g.rep("E"), g.rep("A1"), g.rep("A2")))
-        assert contains_trivial(g.rep("A1"))
-
-
 class TestConjugate:
     def test_kramers_pair(self):
         g = builtin_group("C3v_double")
-        assert g.rep("1E3/2").conjugate() == g.rep("2E3/2")
-        assert g.rep("2E3/2").conjugate() == g.rep("1E3/2")
-
-    def test_real_characters_fixed(self):
-        assert builtin_group("C3v").rep("E").conjugate() == builtin_group("C3v").rep("E")
-        c1h = builtin_group("C1h")
-        assert c1h.rep("A'").conjugate() == c1h.rep("A'")
-
-    def test_involution(self):
-        g = builtin_group("C3v_double")
-        for label in g.irrep_labels():
-            assert g.rep(label).conjugate().conjugate() == g.rep(label)
+        for a, b in zip(g.rep("1E3/2").characters, g.rep("2E3/2").characters):
+            assert (a.re, a.im) == (b.re, -b.im)
 
     def test_kramers_pair_sum_is_real(self):
         g = builtin_group("C3v_double")

@@ -8,10 +8,8 @@ from sicpl.groups import (
     GroupError,
     UnknownGroupError,
     builtin_group,
-    contains_trivial,
     decompose,
     load_table,
-    tensor_product,
 )
 from sicpl.selection import (
     DefectClass,
@@ -37,6 +35,7 @@ from oracles import (
     conjugacy_classes,
     kramers_allowed,
     reduction_multiplicity,
+    trivial_multiplicity,
 )
 
 PAR = Polarization.parallel_c()
@@ -298,10 +297,10 @@ POLARIZATIONS = (PAR, PERP, Polarization.in_plane(0.0), Polarization.in_plane(90
 
 def _parent_allowed(g, initial, final, dipole, phonon=None):
     """The trivial-irrep form: conj(final) x [phonon] x dipole x initial contains it."""
-    factors = [g.rep(final).conjugate(), dipole, g.rep(initial)]
+    factors = [dipole.characters, g.rep(initial).characters]
     if phonon is not None:
-        factors.insert(1, g.rep(phonon))
-    return contains_trivial(tensor_product(*factors))
+        factors.append(g.rep(phonon).characters)
+    return trivial_multiplicity(g.class_sizes, g.order, g.rep(final).characters, *factors) >= 1
 
 
 def _float_allowed(g, initial, final, dipole, phonon=None):
@@ -369,6 +368,26 @@ class TestUnknownStateLabel:
         assert str(excinfo.value) == self.MESSAGE
 
 
+@pytest.fixture
+def selection_calls(monkeypatch):
+    """Counts of the tensor_product and decompose calls made through selection."""
+    import sicpl.selection as selection
+
+    calls = {"tensor_product": 0, "decompose": 0}
+
+    def counted(name):
+        real = getattr(selection, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(selection, name, counted(name))
+    return calls
+
+
 class TestKramersVerdict:
     def test_half_half(self):
         assert kramers_verdict(KramersLevel.HALF, KramersLevel.HALF, PAR).symbol == "A"
@@ -411,6 +430,13 @@ class TestKramersVerdict:
                 engine = kramers_verdict(i, f, pol).group_theory_allowed
                 oracle = kramers_allowed(name[i], name[f], parallel)
                 assert engine == oracle
+
+    def test_one_product_and_decomposition_per_verdict(self, selection_calls):
+        # the first initial sublevel decides for its conjugate partner
+        for i, f, pol in itertools.product(KramersLevel, KramersLevel, (PAR, PERP)):
+            selection_calls.update(tensor_product=0, decompose=0)
+            kramers_verdict(i, f, pol)
+            assert selection_calls == {"tensor_product": 1, "decompose": 1}, (i, f, pol)
 
     def test_rejects_in_plane(self):
         with pytest.raises(GroupError):
@@ -462,23 +488,10 @@ class TestSelectionTable:
             assert list(verdicts) == expected
 
     @pytest.mark.parametrize("policy", list(Policy))
-    def test_panel_builds_each_row_product_once(self, policy, monkeypatch):
+    def test_panel_builds_each_row_product_once(self, policy, selection_calls):
         # per row: the ZPL verdict's product and decomposition, one shared
         # dipole x initial, and one product and decomposition per phonon
-        import sicpl.selection as selection
-
-        calls = {"tensor_product": 0, "decompose": 0}
-
-        def counted(name):
-            real = getattr(selection, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(selection, name, counted(name))
+        calls = selection_calls
         for defect_class in DefectClass:
             calls.update(tensor_product=0, decompose=0)
             selection_table(defect_class, policy)
