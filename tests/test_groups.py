@@ -341,6 +341,12 @@ class TestConjugate:
         for a, b in zip(g.rep("1E3/2").characters, g.rep("2E3/2").characters):
             assert (a.re, a.im) == (b.re, -b.im)
 
+    def test_real_characters_fixed(self):
+        # a real irrep is its own conjugate: no character has an imaginary part
+        c3v, c1h = builtin_group("C3v"), builtin_group("C1h")
+        for rep in (c3v.rep("E"), c1h.rep("A'"), builtin_group("C3v_double").rep("E1/2")):
+            assert all(c.im == 0 for c in rep.characters)
+
     def test_kramers_pair_sum_is_real(self):
         g = builtin_group("C3v_double")
         summed = [

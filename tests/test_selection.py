@@ -10,6 +10,7 @@ from sicpl.groups import (
     builtin_group,
     decompose,
     load_table,
+    tensor_product,
 )
 from sicpl.selection import (
     DefectClass,
@@ -22,6 +23,7 @@ from sicpl.selection import (
     TransitionQuery,
     Verdict,
     VerdictValue,
+    _reaches,
     dipole_rep,
     direct_verdict,
     kramers_verdict,
@@ -388,6 +390,23 @@ def selection_calls(monkeypatch):
     return calls
 
 
+class TestReaches:
+    """_reaches(product, *finals): one decomposition, true iff any final occurs."""
+
+    def test_any_of_several_finals(self, selection_calls):
+        g = builtin_group("C3v")
+        product = tensor_product(g.rep("E"), g.rep("A2"))  # = E
+        assert _reaches(product, "A1", "E")
+        assert _reaches(product, "E", "A1")
+        assert not _reaches(product, "A1", "A2")
+        assert selection_calls["decompose"] == 3
+
+    def test_unknown_final_raises(self):
+        g = builtin_group("C3v")
+        with pytest.raises(UnknownGroupError, match=r"no irrep 'A3'"):
+            _reaches(g.rep("A1"), "A3")
+
+
 class TestKramersVerdict:
     def test_half_half(self):
         assert kramers_verdict(KramersLevel.HALF, KramersLevel.HALF, PAR).symbol == "A"
@@ -430,6 +449,17 @@ class TestKramersVerdict:
                 engine = kramers_verdict(i, f, pol).group_theory_allowed
                 oracle = kramers_allowed(name[i], name[f], parallel)
                 assert engine == oracle
+
+    def test_each_level_is_closed_under_conjugation(self):
+        # why one initial sublevel decides: the dipole is real, and conjugation
+        # maps each level's sublevels onto the same level's sublevels
+        g = builtin_group("C3v_double")
+        for pol in (PAR, PERP):
+            assert all(c.im == 0 for c in dipole_rep(g, pol).characters)
+        for level in KramersLevel:
+            rows = {tuple((c.re, c.im) for c in g.rep(s).characters)
+                    for s in level.sublevel_irreps}
+            assert {tuple((re, -im) for re, im in row) for row in rows} == rows
 
     def test_one_product_and_decomposition_per_verdict(self, selection_calls):
         # the first initial sublevel decides for its conjugate partner
