@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .records import Checked, RecordReader, read_records
+from .records import RecordReader, checked, read_records
 
 HC_EV_NM = 1239.84198  # h*c in eV*nm
 HC_MEV_NM = HC_EV_NM * 1000.0
@@ -30,12 +30,9 @@ class CatalogError(Exception):
     pass
 
 
-class _MediumFields(NamedTuple):
+@checked
+class Medium(NamedTuple):
     refractive_index: float
-
-
-class Medium(Checked, _MediumFields):
-    __slots__ = ()
 
     def _check(self) -> None:
         if not (math.isfinite(self.refractive_index) and self.refractive_index >= 1.0):
@@ -102,7 +99,8 @@ def parse_sites(text: str) -> tuple[str, str]:
     return tuple(sites)
 
 
-class _ZplLineFields(NamedTuple):
+@checked
+class ZplLine(NamedTuple):
     label: str
     polytype: Polytype
     defect: Defect
@@ -111,10 +109,6 @@ class _ZplLineFields(NamedTuple):
     geometry: Geometry
     sites: tuple[str, str]
     provenance: str = ""
-
-
-class ZplLine(Checked, _ZplLineFields):
-    __slots__ = ()
 
     def _check(self) -> None:
         _require_positive(self.wavelength_nm, "wavelength")

@@ -69,7 +69,9 @@ _NEGATIVE_NUMBER = re.compile(
 def _out_path(path: str) -> Path:
     p = Path(path)
     base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not p.is_absolute():
+    # joined, a path with no file name would name the directory itself;
+    # kept as it is, the writer rejects it
+    if base and p.name and not p.is_absolute():
         p = Path(base) / p
     p.parent.mkdir(parents=True, exist_ok=True)
     return p
@@ -277,7 +279,7 @@ def cmd_catalog(args) -> tuple[dict | list | None, str]:
         text += f"# max |residual| = {result['max_abs_residual_mev']:.4f} meV\n"
         return result, text
     lines = _catalog_slice(args)
-    if args.export:
+    if args.export is not None:
         path = _out_path(args.export)
         write_records(path, format_catalog(Catalog(tuple(lines))), CatalogError)
         return None, f"wrote {path} ({len(lines)} lines)\n"

@@ -14,7 +14,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .exact import GaussianRational, ONE, parse_scalar
-from .records import Checked, FrozenSlots, RecordReader
+from .records import FrozenSlots, RecordReader, checked
 
 _DATA_FILES = {
     "C3v": "c3v.grp",
@@ -91,15 +91,12 @@ class PointGroupTable(NamedTuple):
         return RepVector(self, self.irrep(label).characters)
 
 
-class _RepVectorFields(NamedTuple):
-    group: PointGroupTable
-    characters: tuple[GaussianRational, ...]
-
-
-class RepVector(Checked, _RepVectorFields):
+@checked
+class RepVector(NamedTuple):
     """A (possibly reducible) representation as an exact class function."""
 
-    __slots__ = ()
+    group: PointGroupTable
+    characters: tuple[GaussianRational, ...]
 
     def _check(self) -> None:
         if len(self.characters) != self.group.n_classes:

@@ -13,10 +13,10 @@ Each format converts its own tokens and reports a bad record with
 :meth:`RecordReader.locate`, as ``<source>: line N: message``.
 :func:`write_records` writes a file of any of them whole, or not at all.
 
-Every sicpl record is immutable.  Most are ``typing.NamedTuple`` classes;
-this module also holds the two bases of the rest: :class:`FrozenSlots`
-for a record that must not be a tuple, and :class:`Checked` for a
-NamedTuple whose fields are validated.  No sicpl command imports
+Every sicpl record is immutable.  Most are ``typing.NamedTuple`` classes,
+and :func:`checked` makes one of them validate its fields however it is
+built; :class:`FrozenSlots` is the base of a record that must not be a
+tuple.  No record is a dataclass, and no sicpl command imports
 ``dataclasses``.
 """
 
@@ -81,14 +81,16 @@ def read_records(path: str | Path, error: type[Exception]) -> RecordReader:
 def write_records(path: str | Path, text: str, error: type[Exception]) -> None:
     """Write ``text`` to ``path`` whole, or leave ``path`` as it was.
 
-    The text is encoded first, in the encoding :func:`read_records` reads
-    back, so text it cannot hold raises ``error`` before any file is
-    touched.  The bytes go to a new file beside ``path`` that then
-    replaces it; if that fails, the new file is removed.
+    A path with no file name (``""``, ``"."``, ``"/"``) and text that the
+    encoding :func:`read_records` reads back cannot hold raise ``error``
+    before any file is touched.  The bytes go to a new file beside
+    ``path`` that then replaces it; if that fails, the new file is removed.
     """
     import locale
 
     path = Path(path)
+    if not path.name:
+        raise error(f"output path {str(path)!r} names no file")
     try:
         data = text.encode(locale.getpreferredencoding(False))
     except UnicodeEncodeError as exc:
@@ -148,24 +150,25 @@ class FrozenSlots:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-class Checked:
-    """Mixin that validates a NamedTuple record every time one is built.
+def checked(cls):
+    """Make the NamedTuple ``cls`` validate every record it builds.
 
-    A record lists it before the NamedTuple holding its fields, as
-    ``class Name(Checked, _NameFields)`` with ``__slots__ = ()``, and
-    defines ``_check``, which raises on an invalid field.  The constructor,
-    ``_make`` and ``_replace`` all run it.
+    ``cls`` defines ``_check``, which raises on an invalid field.  The
+    decorator wraps the NamedTuple's own ``__new__`` and ``_make`` so that
+    each runs it; ``_replace`` builds through ``_make``, and a copy or a
+    pickle through ``__new__``, so every way of building a record checks it.
     """
-
-    __slots__ = ()
+    new, make = cls.__new__, cls._make.__func__
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        self = new(cls, *args, **kwargs)
         self._check()
         return self
 
-    @classmethod
     def _make(cls, iterable):
-        self = super()._make(iterable)
+        self = make(cls, iterable)
         self._check()
         return self
+
+    cls.__new__, cls._make = staticmethod(__new__), classmethod(_make)
+    return cls

@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .catalog import Geometry, Medium, ZplLine, nm_to_mev
-from .records import Checked, FrozenSlots
+from .records import FrozenSlots, checked
 from .selection import DefectClass, selection_table
 
 # numpy is imported inside the numeric kernels, not here: the symmetry
@@ -80,14 +80,11 @@ class LaserMode(enum.Enum):
     RESONANT = "resonant"
 
 
-class _LaserConfigFields(NamedTuple):
+@checked
+class LaserConfig(NamedTuple):
     photon_energy_mev: float
     polarizer_angle_deg: float  # phi, in [0, 180)
     mode: LaserMode = LaserMode.NON_RESONANT
-
-
-class LaserConfig(Checked, _LaserConfigFields):
-    __slots__ = ()
 
     def _check(self) -> None:
         if not (math.isfinite(self.photon_energy_mev) and self.photon_energy_mev > 0):
@@ -108,15 +105,12 @@ class LaserConfig(Checked, _LaserConfigFields):
         return cls(nm_to_mev(wavelength_nm, medium), polarizer_angle_deg, mode)
 
 
-class _AngularModelFields(NamedTuple):
-    amplitude: float
-    modulation: float
-
-
-class AngularModel(Checked, _AngularModelFields):
+@checked
+class AngularModel(NamedTuple):
     """I(phi) = amplitude * (1 + modulation * cos 2 phi)."""
 
-    __slots__ = ()
+    amplitude: float
+    modulation: float
 
     def _check(self) -> None:
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
@@ -133,7 +127,8 @@ class AngularSample(NamedTuple):
     intensity: float
 
 
-class _LineShapeParamsFields(NamedTuple):
+@checked
+class LineShapeParams(NamedTuple):
     zpl_fwhm_mev: float = DEFAULT_ZPL_FWHM_MEV
     # (red-shift offset from the ZPL in meV, fwhm in meV, relative weight)
     sideband: tuple[tuple[float, float, float], ...] = (
@@ -141,10 +136,6 @@ class _LineShapeParamsFields(NamedTuple):
         (90.0, 30.0, 0.4),
     )
     debye_waller: float = DEFAULT_DEBYE_WALLER
-
-
-class LineShapeParams(Checked, _LineShapeParamsFields):
-    __slots__ = ()
 
     def _check(self) -> None:
         if not 0.0 < self.debye_waller <= 1.0:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -628,6 +629,32 @@ class TestBadInput:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["angular-scan", "-A", "1", "-B", "0.5", "--out", ""],
+            ["angular-scan", "-A", "1", "-B", "0.5", "--out", "."],
+            ["angular-scan", "-A", "1", "-B", "0.5", "--out", "/"],
+            ["spectrum", "4H", "VV", "--laser-mev", "1200", "--emin", "1000", "--emax", "1160",
+             "--out", ""],
+            ["catalog", "4H", "VV", "--export", ""],
+            ["catalog", "4H", "VV", "--export", "/"],
+        ],
+    )
+    @pytest.mark.parametrize("output_dir", [None, "out"])
+    def test_output_path_with_no_file_name_exits_1(self, capsys, tmp_path, monkeypatch, argv,
+                                                   output_dir):
+        monkeypatch.chdir(tmp_path)
+        if output_dir is None:
+            monkeypatch.delenv("SICPL_OUTPUT_DIR", raising=False)
+        else:
+            monkeypatch.setenv("SICPL_OUTPUT_DIR", str(tmp_path / output_dir))
+        root = set(os.listdir("/"))
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [] and set(os.listdir("/")) == root
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["angular-scan", "-A", "1e308", "-B", "1"], "non-finite intensity"),
@@ -792,6 +819,8 @@ class TestExitCodes:
 # and ordinary values whose pairs also make reversed ranges.
 FUZZ_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "-1e30", "1e30",
                 "0.5", "1", "45", "90", "100", "950", "1090", "1160"]
+# Output names for --out and --export: a plain name, and three with no file name.
+FUZZ_OUTPUTS = ["o.tsv", "", ".", "/"]
 LASER_FLAGS = ["--laser-nm", "--laser-mev", "--phi", "--air-index", "--basal-b", "--zpl-fwhm"]
 # A valid argv per subcommand, then its numeric flags; a flag given again
 # after the valid argv overrides it.
@@ -800,11 +829,13 @@ FUZZ_COMMANDS = [
     (["selection", "triplet-axial"], []),
     (["excite", "4H", "VV", "--laser-mev=1200"], LASER_FLAGS),
     (["spectrum", "4H", "VV", "--laser-mev=1200", "--emin=1000", "--emax=1160",
-      "--out", "s.tsv"], LASER_FLAGS + ["--emin", "--emax", "--step", "--dw"]),
+      "--out", "s.tsv"], LASER_FLAGS + ["--emin", "--emax", "--step", "--dw", "--out"]),
     (["angular-scan", "-A", "1", "-B", "0.5", "--out", "a.tsv"],
-     ["--amplitude", "--modulation", "--start", "--stop", "--step", "--noise", "--seed"]),
+     ["--amplitude", "--modulation", "--start", "--stop", "--step", "--noise", "--seed",
+      "--out"]),
     (["fit-angle", "scan.tsv"], ["--axial-threshold"]),
     (["catalog", "--verify-units"], ["--air-index"]),
+    (["catalog", "4H", "VV"], ["--air-index", "--export"]),
     (["debye-waller", "wide.tsv", "--zpl-window", "1000", "1100",
       "--band-window", "950", "1160"], ["--zpl-window", "--band-window"]),
 ]
@@ -819,6 +850,8 @@ def fuzz_argv(draw):
     for flag in draw(st.lists(st.sampled_from(flags), max_size=3)) if flags else []:
         if flag == "--seed":
             argv.append(f"--seed={draw(st.sampled_from(['-1', '0', '7']))}")
+        elif flag in ("--out", "--export"):
+            argv += [flag, draw(st.sampled_from(FUZZ_OUTPUTS))]
         elif flag.endswith("-window"):
             argv += [flag, draw(number), draw(number)]
         else:

@@ -7,11 +7,14 @@ not a tuple, and a validated record runs its checks however it is built.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
+import sicpl
 from sicpl.catalog import Catalog, CatalogError, Defect, Medium, Polytype, builtin_catalog
 from sicpl.exact import ONE, GaussianRational
 from sicpl.groups import Check, GroupError, builtin_group, decompose, tensor_product
@@ -132,3 +135,13 @@ def test_validated_record_checks_every_way_it_is_built(record, bad, error):
     for build in builds:
         with pytest.raises(error):
             build()
+
+
+def test_every_class_with_a_check_is_tested_invalid():
+    # a record without @checked fails the test above, one missing from INVALID fails here
+    modules = [importlib.import_module(f"sicpl.{info.name}")
+               for info in pkgutil.iter_modules(sicpl.__path__)]
+    with_check = {cls for module in modules for cls in vars(module).values()
+                  if isinstance(cls, type) and cls.__module__.startswith("sicpl.")
+                  and "_check" in vars(cls)}
+    assert with_check == {type(record) for record, _, _ in INVALID}

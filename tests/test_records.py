@@ -22,7 +22,7 @@ from sicpl.fileio import (
     write_spectrum,
 )
 from sicpl.groups import GroupError, load_table
-from sicpl.records import RecordReader, header_lines, read_records
+from sicpl.records import RecordReader, header_lines, read_records, write_records
 from sicpl.spectrum import AngularSample, AngularScan, Spectrum, SpectrumError
 
 LOCATED = re.compile(r": line \d+: ")
@@ -151,6 +151,13 @@ class TestTwoColumnFiles:
             write(path, {"note": "ok"})
         assert path.read_text() == "1 2\n"
         assert [p.name for p in tmp_path.iterdir()] == ["old.tsv"]
+
+    @pytest.mark.parametrize("path", ["", "/"])
+    def test_path_with_no_file_name_raises_the_given_error(self, tmp_path, monkeypatch, path):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(CatalogError, match="names no file"):
+            write_records(path, "1 2\n", CatalogError)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "row, message",
