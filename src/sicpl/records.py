@@ -81,7 +81,7 @@ def read_records(path: str | Path, error: type[Exception]) -> RecordReader:
 def write_records(path: str | Path, text: str, error: type[Exception]) -> None:
     """Write ``text`` to ``path`` whole, or leave ``path`` as it was.
 
-    A path with no file name (``""``, ``"."``, ``"/"``) and text that the
+    A path with no file name (``""``, ``"."``, ``"/"``, ``".."``) and text that the
     encoding :func:`read_records` reads back cannot hold raise ``error``
     before any file is touched.  The bytes go to a new file beside
     ``path`` that then replaces it; if that fails, the new file is removed.
@@ -89,7 +89,7 @@ def write_records(path: str | Path, text: str, error: type[Exception]) -> None:
     import locale
 
     path = Path(path)
-    if not path.name:
+    if path.name in ("", ".."):
         raise error(f"output path {str(path)!r} names no file")
     try:
         data = text.encode(locale.getpreferredencoding(False))

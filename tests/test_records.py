@@ -152,7 +152,7 @@ class TestTwoColumnFiles:
         assert path.read_text() == "1 2\n"
         assert [p.name for p in tmp_path.iterdir()] == ["old.tsv"]
 
-    @pytest.mark.parametrize("path", ["", "/"])
+    @pytest.mark.parametrize("path", ["", "/", "..", "sub/.."])
     def test_path_with_no_file_name_raises_the_given_error(self, tmp_path, monkeypatch, path):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(CatalogError, match="names no file"):
