@@ -30,7 +30,6 @@ from .selection import (
     Policy,
     TransitionQuery,
     Verdict,
-    VerdictValue,
     dipole_rep,
     direct_verdict,
     kramers_verdict,

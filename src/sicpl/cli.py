@@ -67,14 +67,10 @@ _NEGATIVE_NUMBER = re.compile(
 
 
 def _out_path(path: str) -> Path:
-    p = Path(path)
     base = os.environ.get(OUTPUT_DIR_ENV)
-    # joined, a path with no file name would name the directory itself;
-    # kept as it is, the writer rejects it
-    if base and p.name and not p.is_absolute():
-        p = Path(base) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
-    return p
+    # Path() drops base for an absolute path; joined, a path with no file
+    # name would name the directory itself, so it is kept for the writer to reject
+    return Path(base, path) if base and Path(path).name else Path(path)
 
 
 def _laser(args) -> LaserConfig:

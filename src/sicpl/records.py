@@ -81,20 +81,25 @@ def read_records(path: str | Path, error: type[Exception]) -> RecordReader:
 def write_records(path: str | Path, text: str, error: type[Exception]) -> None:
     """Write ``text`` to ``path`` whole, or leave ``path`` as it was.
 
-    A path with no file name (``""``, ``"."``, ``"/"``, ``".."``) and text that the
-    encoding :func:`read_records` reads back cannot hold raise ``error``
-    before any file is touched.  The bytes go to a new file beside
-    ``path`` that then replaces it; if that fails, the new file is removed.
+    ``error`` is raised before anything is touched for a path with no file
+    name (``""``, ``"."``, ``"/"``, ``".."``), a path that is a directory (a
+    symlink to one is replaced like a file), and text that the encoding
+    :func:`read_records` reads back cannot hold.  Only then are the missing
+    parent directories made.  The bytes go to a new file beside ``path``
+    that then replaces it; if that fails, the new file is removed.
     """
     import locale
 
     path = Path(path)
     if path.name in ("", ".."):
         raise error(f"output path {str(path)!r} names no file")
+    if path.is_dir() and not path.is_symlink():
+        raise error(f"output path {str(path)!r} is a directory")
     try:
         data = text.encode(locale.getpreferredencoding(False))
     except UnicodeEncodeError as exc:
         raise error(f"{path}: cannot encode the text: {exc}") from exc
+    path.parent.mkdir(parents=True, exist_ok=True)
     part = path.with_name(f".{path.name}.{os.urandom(4).hex()}.part")
     file = open(part, "xb")
     try:

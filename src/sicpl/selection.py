@@ -92,12 +92,6 @@ class TransitionQuery(NamedTuple):
     phonon: PhononMode | None = None
 
 
-class VerdictValue(enum.Enum):
-    ALLOWED = "A"
-    FORBIDDEN = "F"
-    FORMALLY_ALLOWED_PHYSICALLY_FORBIDDEN = "A*"
-
-
 class Verdict(NamedTuple):
     """A transition verdict; its symbol follows from the two flags."""
 
@@ -105,16 +99,10 @@ class Verdict(NamedTuple):
     physical_coupling: bool
 
     @property
-    def value(self) -> VerdictValue:
-        if not self.group_theory_allowed:
-            return VerdictValue.FORBIDDEN
-        if self.physical_coupling:
-            return VerdictValue.ALLOWED
-        return VerdictValue.FORMALLY_ALLOWED_PHYSICALLY_FORBIDDEN
-
-    @property
     def symbol(self) -> str:
-        return self.value.value
+        if not self.group_theory_allowed:
+            return "F"
+        return "A" if self.physical_coupling else "A*"
 
 
 class Policy(enum.Enum):

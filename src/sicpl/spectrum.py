@@ -156,8 +156,18 @@ class LineShapeParams(NamedTuple):
             )
 
 
+def _two_arrays(x, y, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` as float64 arrays; unless both are 1-d of one length, SpectrumError."""
+    import numpy as np
+
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise SpectrumError(f"a {what} needs two 1-d arrays of one length")
+    return x, y
+
+
 class Spectrum(FrozenSlots):
-    """Intensity on an energy grid, with its header metadata and warnings.
+    """Intensity on an energy grid as two float64 arrays of one length, with metadata and warnings.
 
     A slots class, not a tuple: a spectrum equals only itself, so no
     comparison ever touches its arrays.
@@ -172,6 +182,7 @@ class Spectrum(FrozenSlots):
         metadata: dict | None = None,
         warnings: tuple[str, ...] = (),
     ) -> None:
+        energy_mev, intensity = _two_arrays(energy_mev, intensity, "spectrum")
         object.__setattr__(self, "energy_mev", energy_mev)
         object.__setattr__(self, "intensity", intensity)
         object.__setattr__(self, "metadata", {} if metadata is None else metadata)
@@ -188,12 +199,7 @@ class AngularScan(FrozenSlots):
     __slots__ = ("phi_deg", "intensity")
 
     def __init__(self, phi_deg, intensity) -> None:
-        import numpy as np
-
-        phi_deg = np.asarray(phi_deg, dtype=float)
-        intensity = np.asarray(intensity, dtype=float)
-        if phi_deg.ndim != 1 or phi_deg.shape != intensity.shape:
-            raise SpectrumError("a scan needs two 1-d arrays of one length")
+        phi_deg, intensity = _two_arrays(phi_deg, intensity, "scan")
         object.__setattr__(self, "phi_deg", phi_deg)
         object.__setattr__(self, "intensity", intensity)
 

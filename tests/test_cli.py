@@ -636,8 +636,10 @@ class TestBadInput:
             ["angular-scan", "-A", "1", "-B", "0.5", "--out", "/"],
             ["spectrum", "4H", "VV", "--laser-mev", "1200", "--emin", "1000", "--emax", "1160",
              "--out", ""],
+            ["angular-scan", "-A", "1", "-B", "0.5", "--out", "sub/.."],
             ["catalog", "4H", "VV", "--export", ""],
             ["catalog", "4H", "VV", "--export", "/"],
+            ["catalog", "4H", "VV", "--export", "sub/.."],
         ],
     )
     @pytest.mark.parametrize("output_dir", [None, "out"])
@@ -652,6 +654,29 @@ class TestBadInput:
         assert (code, stdout) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [] and glob.glob("/.*.part") == []
+
+    @pytest.mark.parametrize("argv", [
+        ["angular-scan", "-A", "1", "-B", "0.5", "--out", "d"],
+        ["catalog", "4H", "VV", "--export", "d"],
+    ])
+    def test_output_path_that_is_a_directory_exits_1(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SICPL_OUTPUT_DIR", raising=False)
+        (tmp_path / "d").mkdir()
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err == "error: output path 'd' is a directory\n"
+        assert list((tmp_path / "d").iterdir()) == []
+
+    def test_symlink_to_a_directory_is_replaced_by_the_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SICPL_OUTPUT_DIR", raising=False)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "link").symlink_to("d")
+        code, stdout, _ = run(capsys, "angular-scan", "-A", "1", "-B", "0.5", "--out", "link")
+        assert (code, stdout) == (0, "wrote link (12 samples)\n")
+        assert not (tmp_path / "link").is_symlink() and (tmp_path / "link").is_file()
+        assert list((tmp_path / "d").iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv, message",

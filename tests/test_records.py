@@ -159,6 +159,25 @@ class TestTwoColumnFiles:
             write_records(path, "1 2\n", CatalogError)
         assert list(tmp_path.iterdir()) == []
 
+    def test_missing_directories_are_made(self, tmp_path):
+        write_records(tmp_path / "a" / "b" / "c.tsv", "1 2\n", CatalogError)
+        assert (tmp_path / "a" / "b" / "c.tsv").read_text() == "1 2\n"
+        assert [p.name for p in (tmp_path / "a" / "b").iterdir()] == ["c.tsv"]
+
+    def test_directory_raises_the_given_error(self, tmp_path):
+        d = tmp_path / "d"
+        d.mkdir()
+        with pytest.raises(CatalogError) as raised:
+            write_records(d, "1 2\n", CatalogError)
+        assert str(raised.value) == f"output path {str(d)!r} is a directory"
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert list(d.iterdir()) == []
+
+    def test_refused_text_makes_no_directory(self, tmp_path):
+        with pytest.raises(CatalogError, match="cannot encode"):
+            write_records(tmp_path / "new" / "x.tsv", "\udc80\n", CatalogError)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "row, message",
         [

@@ -22,7 +22,6 @@ from sicpl.selection import (
     Policy,
     TransitionQuery,
     Verdict,
-    VerdictValue,
     _reaches,
     dipole_rep,
     direct_verdict,
@@ -229,7 +228,7 @@ class TestPhononAssistedVerdict:
         g = builtin_group("C3v")
         q = TransitionQuery(g, "A2", "E", PAR, PhononMode.c3v("E"))
         v = phonon_assisted_verdict(q)
-        assert v.value is VerdictValue.FORMALLY_ALLOWED_PHYSICALLY_FORBIDDEN
+        assert v.symbol == "A*"
         assert v.group_theory_allowed and not v.physical_coupling
 
     def test_policy_switch_restores_formal_verdict(self):
@@ -265,7 +264,7 @@ class TestPhononAssistedVerdict:
 
 class TestVerdictConsistency:
     def test_flags_determine_value_exhaustively(self):
-        # every C3v query: Verdict invariants hold and flags match value
+        # every C3v query: Verdict invariants hold and flags match the symbol
         g = builtin_group("C3v")
         labels = g.irrep_labels()
         for i, f, pol in itertools.product(labels, labels, (PAR, PERP)):
@@ -274,12 +273,10 @@ class TestVerdictConsistency:
                 q = TransitionQuery(g, i, f, pol, PhononMode.c3v(ph))
                 verdicts.append(phonon_assisted_verdict(q))
             for v in verdicts:
-                assert (v.value is VerdictValue.FORBIDDEN) == (
-                    not v.group_theory_allowed
+                assert (v.symbol == "F") == (not v.group_theory_allowed)
+                assert (v.symbol == "A*") == (
+                    v.group_theory_allowed and not v.physical_coupling
                 )
-                assert (
-                    v.value is VerdictValue.FORMALLY_ALLOWED_PHYSICALLY_FORBIDDEN
-                ) == (v.group_theory_allowed and not v.physical_coupling)
 
     def test_initial_final_exchange_symmetry(self):
         # matrix-element hermiticity for real-character irreps
@@ -539,9 +536,7 @@ class TestSelectionTable:
 
 class TestVerdictFlags:
     def test_from_flags(self):
-        assert Verdict(False, True).value is VerdictValue.FORBIDDEN
-        assert Verdict(True, True).value is VerdictValue.ALLOWED
-        assert (
-            Verdict(True, False).value
-            is VerdictValue.FORMALLY_ALLOWED_PHYSICALLY_FORBIDDEN
-        )
+        assert Verdict(False, False).symbol == "F"
+        assert Verdict(False, True).symbol == "F"
+        assert Verdict(True, True).symbol == "A"
+        assert Verdict(True, False).symbol == "A*"

@@ -353,6 +353,15 @@ class TestSynthesizeSpectrum:
                 [(pl1, 1.0)], LineShapeParams(), np.array([2.0, 1.0, 3.0])
             )
 
+    @pytest.mark.parametrize("energy, intensity", [
+        (np.arange(10.0), np.ones(4)),
+        (np.ones((2, 3)), np.ones((2, 3))),
+        (np.float64(1.0), np.float64(1.0)),
+    ], ids=["mismatched", "2-d", "0-d"])
+    def test_spectrum_rejects_arrays_it_cannot_hold(self, energy, intensity):
+        with pytest.raises(SpectrumError, match="a spectrum needs two 1-d arrays of one length"):
+            Spectrum(energy, intensity)
+
 
 class TestLineShapeParams:
     @pytest.mark.parametrize(
