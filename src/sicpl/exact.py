@@ -24,8 +24,8 @@ class GaussianRational(FrozenSlots):
     __slots__ = ("re", "im")
 
     def __init__(self, re: int = 0, im: int = 0) -> None:
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        _set_re(self, re)
+        _set_im(self, im)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -68,6 +68,7 @@ class GaussianRational(FrozenSlots):
         return f"{self.re}{sign}{imag}"
 
 
+_set_re, _set_im = GaussianRational.re.__set__, GaussianRational.im.__set__
 ONE = GaussianRational(1)
 
 

@@ -88,7 +88,11 @@ class PointGroupTable(NamedTuple):
         raise GroupError(f"group {self.name} has no trivial irrep")
 
     def rep(self, label: str) -> "RepVector":
-        return RepVector(self, self.irrep(label).characters)
+        characters = self.irrep(label).characters
+        # a hand-built or _replace'd table is not verified, so its irreps' lengths are tested
+        if len(characters) != len(self.class_labels):
+            raise _length_error(self, len(characters))
+        return _rep(self, characters)
 
 
 @checked
@@ -100,10 +104,21 @@ class RepVector(NamedTuple):
 
     def _check(self) -> None:
         if len(self.characters) != self.group.n_classes:
-            raise GroupError(
-                f"character vector has {len(self.characters)} entries, "
-                f"group {self.group.name} has {self.group.n_classes} classes"
-            )
+            raise _length_error(self.group, len(self.characters))
+
+
+def _length_error(group: PointGroupTable, entries: int) -> GroupError:
+    return GroupError(
+        f"character vector has {entries} entries, group {group.name} has {group.n_classes} classes"
+    )
+
+
+def _rep(group: PointGroupTable, characters: tuple[GaussianRational, ...]) -> RepVector:
+    """A RepVector built without ``_check``, for characters known to fit ``group``.
+
+    The one unchecked path; ``records.checked`` says why it is sound.
+    """
+    return tuple.__new__(RepVector, (group, characters))
 
 
 class Multiplicities(FrozenSlots):
@@ -115,8 +130,8 @@ class Multiplicities(FrozenSlots):
     __slots__ = ("group", "counts")
 
     def __init__(self, group: PointGroupTable, counts: dict[str, int]) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "counts", counts)
+        _set_group(self, group)
+        _set_counts(self, counts)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -144,6 +159,9 @@ class Multiplicities(FrozenSlots):
             elif m > 1:
                 parts.append(f"{m}{ir.label}")
         return " + ".join(parts) if parts else "0"
+
+
+_set_group, _set_counts = Multiplicities.group.__set__, Multiplicities.counts.__set__
 
 
 def _parse_table_text(text: str) -> PointGroupTable:
@@ -399,7 +417,7 @@ def tensor_product(a: RepVector, b: RepVector, *more: RepVector) -> RepVector:
     for r in reps[1:]:
         parts = [(re * y.re - im * y.im, re * y.im + im * y.re)
                  for (re, im), y in zip(parts, r.characters)]
-    return RepVector(group, tuple(GaussianRational(re, im) for re, im in parts))
+    return _rep(group, tuple([GaussianRational(re, im) for re, im in parts]))
 
 
 def decompose(rep: RepVector) -> Multiplicities:

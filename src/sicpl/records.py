@@ -83,10 +83,11 @@ def write_records(path: str | Path, text: str, error: type[Exception]) -> None:
 
     ``error`` is raised before anything is touched for a path with no file
     name (``""``, ``"."``, ``"/"``, ``".."``), a path that is a directory (a
-    symlink to one is replaced like a file), and text that the encoding
-    :func:`read_records` reads back cannot hold.  Only then are the missing
-    parent directories made.  The bytes go to a new file beside ``path``
-    that then replaces it; if that fails, the new file is removed.
+    symlink to one is replaced like a file), a path under something that is
+    not a directory, and text that the encoding :func:`read_records` reads
+    back cannot hold.  Only then are the missing parent directories made.
+    The bytes go to a new file beside ``path`` that then replaces it; if
+    that fails, the new file is removed.
     """
     import locale
 
@@ -95,6 +96,12 @@ def write_records(path: str | Path, text: str, error: type[Exception]) -> None:
         raise error(f"output path {str(path)!r} names no file")
     if path.is_dir() and not path.is_symlink():
         raise error(f"output path {str(path)!r} is a directory")
+    # the nearest parent that exists must be a directory, or making the rest fails
+    for parent in path.parents:
+        if parent.is_dir():
+            break
+        if os.path.lexists(parent):
+            raise error(f"output path {str(path)!r}: {str(parent)!r} is not a directory")
     try:
         data = text.encode(locale.getpreferredencoding(False))
     except UnicodeEncodeError as exc:
@@ -133,10 +140,13 @@ class FrozenSlots:
     """Base of an immutable record whose fields are its ``__slots__``.
 
     A subclass names its fields in ``__slots__`` and sets them in
-    ``__init__`` through ``object.__setattr__``; any later assignment or
-    deletion raises AttributeError.  The repr is ``Name(field=value, ...)``,
-    and a copy or pickle is rebuilt through the constructor, with the fields
-    in slot order.  Equality and hashing are the subclass's choice.
+    ``__init__`` through each slot descriptor's own ``__set__``, bound once
+    at module level (``_set_re = GaussianRational.re.__set__``), which
+    bypasses this class's ``__setattr__`` at less cost than
+    ``object.__setattr__``; any later assignment or deletion raises
+    AttributeError.  The repr is ``Name(field=value, ...)``, and a copy or
+    pickle is rebuilt through the constructor, with the fields in slot
+    order.  Equality and hashing are the subclass's choice.
     """
 
     __slots__ = ()
@@ -162,6 +172,12 @@ def checked(cls):
     decorator wraps the NamedTuple's own ``__new__`` and ``_make`` so that
     each runs it; ``_replace`` builds through ``_make``, and a copy or a
     pickle through ``__new__``, so every way of building a record checks it.
+
+    The one unchecked path is ``groups._rep``, which builds a ``RepVector``
+    through ``tuple.__new__``.  It is sound because its callers pass only
+    characters whose length is already known to match the group: a table's
+    own irrep, tested inline by ``PointGroupTable.rep``, or the class-wise
+    product or sum of vectors of one group.
     """
     new, make = cls.__new__, cls._make.__func__
 

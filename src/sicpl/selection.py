@@ -23,6 +23,7 @@ from .groups import (
     GroupError,
     PointGroupTable,
     RepVector,
+    _rep,
     builtin_group,
     decompose,
     tensor_product,
@@ -138,9 +139,9 @@ def dipole_rep(group: PointGroupTable, pol: Polarization) -> RepVector:
 
 
 def _sum_rep(a: RepVector, b: RepVector) -> RepVector:
-    return RepVector(a.group, tuple(
+    return _rep(a.group, tuple([
         GaussianRational(x.re + y.re, x.im + y.im) for x, y in zip(a.characters, b.characters)
-    ))
+    ]))
 
 
 def _reaches(product: RepVector, *finals: str) -> bool:

@@ -668,6 +668,17 @@ class TestBadInput:
         assert err == "error: output path 'd' is a directory\n"
         assert list((tmp_path / "d").iterdir()) == []
 
+    @pytest.mark.parametrize("out", ["f/x.tsv", "f/y/x.tsv"])
+    def test_output_path_under_a_file_exits_1(self, capsys, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SICPL_OUTPUT_DIR", raising=False)
+        (tmp_path / "f").write_text("kept\n")
+        code, stdout, err = run(capsys, "angular-scan", "-A", "1", "-B", "0.5", "--out", out)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: output path {out!r}: 'f' is not a directory\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "f"]
+        assert (tmp_path / "f").read_text() == "kept\n"
+
     def test_symlink_to_a_directory_is_replaced_by_the_file(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("SICPL_OUTPUT_DIR", raising=False)

@@ -225,6 +225,39 @@ class TestTensorProduct:
             tensor_product(builtin_group("C3v").rep("E"), builtin_group("C1h").rep("A'"))
 
 
+class TestUncheckedVectors:
+    """rep and tensor_product build RepVectors without re-checking them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(BUILTIN_GROUPS).flatmap(lambda name: st.tuples(
+        st.just(name), st.lists(st.sampled_from(builtin_group(name).irrep_labels()),
+                                min_size=2, max_size=6))))
+    def test_vectors_pass_the_public_check(self, group_and_labels):
+        name, labels = group_and_labels
+        g = builtin_group(name)
+        reps = [g.rep(label) for label in labels]
+        for v in reps + [tensor_product(*reps)]:
+            assert type(v) is RepVector
+            assert RepVector(*v) == v
+
+    def test_short_irrep_of_an_unverified_table_raises(self):
+        g = builtin_group("C3v")
+        a1, a2, e = g.irreps
+        table = g._replace(irreps=(a1, a2, e._replace(characters=e.characters[:2])))
+        with pytest.raises(GroupError) as excinfo:
+            table.rep("E")
+        assert type(excinfo.value) is GroupError
+        assert str(excinfo.value) == "character vector has 2 entries, group C3v has 3 classes"
+
+    @pytest.mark.parametrize("other", [builtin_group("C1h"),
+                                       builtin_group("C3v")._replace(field=None)],
+                             ids=["C1h", "C3v-without-field"])
+    def test_product_across_two_tables_raises(self, other):
+        g = builtin_group("C3v")
+        with pytest.raises(GroupMismatchError):
+            tensor_product(g.rep(g.irreps[-1].label), other.rep(other.irreps[-1].label))
+
+
 class TestDecompose:
     def test_irrep_decomposes_to_itself(self):
         for name in BUILTIN_GROUPS:

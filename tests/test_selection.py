@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sicpl.groups import (
     BUILTIN_GROUPS,
     GroupError,
+    RepVector,
     UnknownGroupError,
     builtin_group,
     decompose,
@@ -65,6 +68,15 @@ class TestDipoleRep:
         assert dipole_rep(g, Polarization.in_plane(90.0)) == g.rep("A''")
         oblique = dipole_rep(g, Polarization.in_plane(45.0))
         assert decompose(oblique).counts == {"A'": 1, "A''": 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(BUILTIN_GROUPS),
+           st.one_of(st.just(PAR), st.just(PERP),
+                     st.floats(-1e6, 1e6, allow_nan=False).map(Polarization.in_plane)))
+    def test_dipole_passes_the_public_check(self, group, pol):
+        dipole = dipole_rep(builtin_group(group), pol)
+        assert type(dipole) is RepVector
+        assert RepVector(*dipole) == dipole
 
     @pytest.mark.parametrize("group", ["C3v", "C1h", "C3v_double"])
     @pytest.mark.parametrize("azimuth", [float("nan"), float("inf"), float("-inf")])
@@ -385,6 +397,47 @@ def selection_calls(monkeypatch):
     for name in calls:
         monkeypatch.setattr(selection, name, counted(name))
     return calls
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The number of RepVector._check calls made so far."""
+    calls = [0]
+    real = RepVector._check
+
+    def counted(self):
+        calls[0] += 1
+        real(self)
+
+    monkeypatch.setattr(RepVector, "_check", counted)
+    return calls
+
+
+class TestInternalVectorsSkipTheCheck:
+    """Vectors built from a table's own characters are not checked again."""
+
+    def test_panels(self, check_calls):
+        for defect_class, policy in itertools.product(DefectClass, Policy):
+            selection_table(defect_class, policy)
+        assert check_calls == [0]
+
+    def test_kramers_verdicts(self, check_calls):
+        for initial, final, pol in itertools.product(KramersLevel, KramersLevel, (PAR, PERP)):
+            kramers_verdict(initial, final, pol)
+        assert check_calls == [0]
+
+    @pytest.mark.parametrize("group", BUILTIN_GROUPS)
+    def test_oblique_dipole_and_products(self, group, check_calls):
+        g = builtin_group(group)
+        dipole_rep(g, Polarization.in_plane(37.0))
+        for a, b in itertools.product(g.irrep_labels(), repeat=2):
+            decompose(tensor_product(g.rep(a), g.rep(b)))
+        assert check_calls == [0]
+
+    def test_public_constructor_checks_once(self, check_calls):
+        g = builtin_group("C3v")
+        RepVector(g, g.irreps[-1].characters)
+        assert check_calls == [1]
 
 
 class TestReaches:
